@@ -82,12 +82,18 @@ class Scenario:
             raise ConfigError(f"threads must be positive, got {self.threads}")
         if self.rho_s <= 0:
             raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
-        # cross-field validation via the module parameter types
-        self.growth_params()
-        self.micro_params()
-        self.schedule()
-        if self.model == "pde":
-            growth.SolidGrid(self.nx, self.ny)
+        # cross-field validation via the module parameter types, whose
+        # ValueErrors become ConfigErrors so the CLI reports them as such
+        try:
+            self.growth_params()
+            self.micro_params()
+            self.schedule()
+            if self.model == "pde":
+                growth.SolidGrid(self.nx, self.ny)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def N_l(self) -> int:

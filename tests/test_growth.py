@@ -110,6 +110,12 @@ def test_grid_geometry():
     assert g.midpoint_index() == 50
 
 
+@pytest.mark.parametrize("nx, ny", [(11, 2), (11, 1), (2, 5)])
+def test_grid_too_small_rejected(nx, ny):
+    with pytest.raises(ValueError, match="nx >= 3 and ny >= 3"):
+        SolidGrid(nx, ny)
+
+
 def test_grid_midpoint_missing():
     g = SolidGrid(10, 3)  # even nx: no x=0 node
     with pytest.raises(GridAlignmentError):
@@ -165,6 +171,37 @@ def test_one_step_dense_oracle_nonzero_state():
     new = macro_step_pde(state, gb, dt, p, forcing=f)
     ref = dense_imex_step(state, gb, dt, p, forcing=f)
     assert np.abs(new.c - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 3), (21, 3), (7, 12), (16, 5), (101, 11)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_banded_step_matches_sparse_and_dense_references(nx, ny, sign):
+    import scipy.sparse.linalg as spla
+
+    g = SolidGrid(nx, ny)
+    rng = np.random.default_rng(nx * ny)
+    c0 = np.zeros((ny, nx))
+    c0[1:, 1:-1] = rng.uniform(0.0, 0.5, size=(ny - 1, nx - 2))
+    state = FieldState(g, c0)
+    gb = rng.uniform(0, 1e-7, size=nx)
+    f = rng.standard_normal((ny, nx)) * 1e-9
+    p = GrowthParams(alpha=5e-8, D_s=2e-3, R_s=1e-4, theta=0.7, reaction_sign=sign)
+    dt = 500.0
+    new = macro_step_pde(state, gb, dt, p, forcing=f)
+    A, b = imex_system(state, gb, dt, p, forcing=f)
+    sparse_ref = g.unpack(spla.spsolve(A.tocsc(), b))
+    dense_ref = dense_imex_step(state, gb, dt, p, forcing=f)
+    for ref in (sparse_ref, dense_ref):
+        assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_singular_step_raises_runtime_error():
+    # D_s vanishes against 1/dt and the reaction cancels 1/dt on the diagonal:
+    # a 3x3 tridiagonal matrix with zero diagonal, exactly singular
+    g = SolidGrid(3, 4)
+    p = GrowthParams(alpha=0.0, D_s=1e-300, R_s=1.0, theta=1.0)
+    with pytest.raises(RuntimeError, match="IMEX linear solve"):
+        macro_step_pde(FieldState.zero(g), np.zeros(g.nx), 1.0, p)
 
 
 def test_theta_one_reduces_to_backward_euler_linearization():

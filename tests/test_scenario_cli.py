@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import plaquepar
 
 from plaquepar.cli import main, run_scenario
 from plaquepar.errors import ConfigError
@@ -217,6 +223,30 @@ def test_cli_presets_command(tmp_path):
     for name in ("ode_paper", "pde_paper"):
         data = json.loads((tmp_path / f"{name}.json").read_text())
         assert parse_scenario(data) == preset(name)
+
+
+@pytest.mark.parametrize("overrides", [{"theta": 1.5}, {"lambda_relax": -1.0},
+                                       {"model": "pde", "ny": 2}])
+def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**preset("ode_paper").to_dict(), **overrides}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_ode_run_does_not_import_scipy(tmp_path):
+    _, path = small_scenario(tmp_path)
+    code = ("import sys\n"
+            "import plaquepar.cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            f"assert plaquepar.cli.main(['run', '--scenario', {path!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'run'\n")
+    src = str(Path(plaquepar.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_missing_scenario_file(tmp_path):
