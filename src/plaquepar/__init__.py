@@ -8,14 +8,13 @@ accounted in micro problems and growth-model solves, with a synthetic
 parallel-runtime model.
 """
 
-from . import costs, growth, kinematics, microflow, parareal, scenario, twoscale
+from . import costs, growth, microflow, parareal, scenario, twoscale
 from .costs import (CostLedger, CostModelParams, count_heuristic,
                     count_reusage, count_rd_reusage, count_standard,
                     estimate_parallel_runtime, optimal_processes, ratio_bound,
                     speedup_efficiency)
 from .errors import (ChannelClosureError, ConfigError, GridAlignmentError,
-                     MicroNonConvergenceError, PararealNonConvergenceError,
-                     SingularDeformationError)
+                     MicroNonConvergenceError, PararealNonConvergenceError)
 from .growth import (FieldState, GrowthParams, ScalarState, SolidGrid,
                      delta_weight, gamma_ode, gamma_pde, interface_midpoint,
                      macro_step_ode, macro_step_pde)

@@ -18,7 +18,9 @@ from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
                      PararealNonConvergenceError)
 from .scenario import PRESETS, Scenario, parse_scenario, preset
 
-_ENGINE_MODE = {"parareal": "standard", "reusage": "reusage", "heuristic": "heuristic"}
+# scenario mode -> engine mode
+_ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
+                "heuristic": "heuristic"}
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
@@ -43,26 +45,13 @@ def run_scenario(scn: Scenario):
     schedule = scn.schedule()
     gp, mp = scn.growth_params(), scn.micro_params()
     macro0, micro0 = scn.initial_states()
-    if scn.mode == "serial":
-        ledger = costs.CostLedger(1)
-        traj = twoscale.run_serial(schedule, gp, mp, macro0, micro0,
-                                   scn.eps_p, scn.max_cycles, ledger)
-        report = parareal.PararealReport(
-            mode="serial", P=1, N_l=schedule.N_l, k_par=0, converged=True,
-            stopping=scn.stopping, eps_par=scn.eps_par, per_iteration=[],
-            ledger=ledger, endpoint=traj.endpoint,
-            reference_endpoint=traj.endpoint, speedup=1.0, efficiency=1.0,
-            estimated_runtime=costs.estimate_parallel_runtime(
-                ledger, costs.CostModelParams()),
-            trajectory=traj, reference=traj,
-        )
-    else:
-        report = parareal.run(
-            schedule, gp, mp, macro0, micro0, mode=_ENGINE_MODE[scn.mode],
-            stopping=scn.stopping, eps_par=scn.eps_par, eps_p=scn.eps_p,
-            max_cycles=scn.max_cycles, max_iters=scn.max_iters,
-            threads=scn.threads,
-        )
+    # serial scenarios have P = 1, which parareal.run runs as the serial path
+    report = parareal.run(
+        schedule, gp, mp, macro0, micro0, mode=_ENGINE_MODE[scn.mode],
+        stopping=scn.stopping, eps_par=scn.eps_par, eps_p=scn.eps_p,
+        max_cycles=scn.max_cycles, max_iters=scn.max_iters,
+        threads=scn.threads,
+    )
     column = {
         "P": report.P,
         "errors": _error_column(report),

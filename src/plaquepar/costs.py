@@ -212,17 +212,6 @@ class CostLedger:
             micro = params.fsi_step_cost * self.per_process_fsi_steps[p]
         return micro + params.t_rd * self.per_process_rd[p]
 
-    def as_dict(self) -> dict:
-        return {
-            "micro_fine": self.micro_fine,
-            "micro_coarse": self.micro_coarse,
-            "rd_fine": self.rd_fine,
-            "rd_coarse": self.rd_coarse,
-            "micro_serial_equivalent": self.micro_serial_equivalent,
-            "per_process_micro": list(self.per_process_micro),
-            "messages": self.messages,
-        }
-
 
 def estimate_parallel_runtime(ledger: CostLedger | None = None,
                               params: CostModelParams | None = None, *,

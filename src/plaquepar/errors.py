@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent scenario/schedule configuration."""
 
 
-class SingularDeformationError(ValueError):
-    """Deformation gradient with non-positive determinant."""
-
-
 class ChannelClosureError(RuntimeError):
     """Channel half-width fell below the configured minimum (lumen closure)."""
 

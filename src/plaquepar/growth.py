@@ -21,7 +21,8 @@ c_ghost = c_below + 2 h_y gamma_bar / D_s, the top-row Laplacian becomes
 2 gamma_bar / h_y.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -166,7 +167,18 @@ class SolidGrid:
 
 @dataclass(frozen=True)
 class ScalarState:
-    """Macro state of the ODE growth model: concentration c_s at time t (s)."""
+    """Macro state of the ODE growth model: concentration c_s at time t (s).
+
+    The two state classes are the one place that knows which growth
+    model runs: each carries its ``model`` name and the operations the
+    micro solver, the two-scale driver and the parareal engine apply to
+    it.  ``step`` calls ``macro_step_ode``/``macro_step_pde`` through the
+    module globals, so a wrapper set on those module attributes (as the
+    span tracer in ``perfbench`` does) sees every growth-model solve.
+    Growth values of this model are Python floats.
+    """
+
+    model: ClassVar[str] = "ode"
 
     c_s: float
     t: float = 0.0
@@ -175,10 +187,36 @@ class ScalarState:
         if self.c_s < 0 or not np.isfinite(self.c_s):
             raise ValueError(f"c_s must be finite and non-negative, got {self.c_s}")
 
+    def step(self, gamma_bar: float, dt: float, p: GrowthParams) -> "ScalarState":
+        """One growth-model update (forward Euler) with growth value gamma_bar."""
+        return macro_step_ode(self, gamma_bar, dt)
+
+    def functional(self) -> float:
+        """Scalar observable: the concentration c_s."""
+        return self.c_s
+
+    def half_width(self) -> float:
+        """Channel half-width law of the surrogate, h = 1 - c_s (uniform)."""
+        return 1.0 - self.c_s
+
+    def average_growth(self, wss, p: GrowthParams) -> float:
+        """Growth rate averaged over the leading (sample) axis of wss."""
+        return float(np.mean(gamma_ode(wss, self.c_s, p), axis=0))
+
+    def combine(self, fine: "ScalarState", prev: "ScalarState") -> "ScalarState":
+        """Predictor-corrector update self + fine - prev, at this state's time."""
+        return ScalarState(self.c_s + fine.c_s - prev.c_s, self.t)
+
 
 @dataclass(frozen=True)
 class FieldState:
-    """Macro state of the PDE growth model: nodal field c on a SolidGrid."""
+    """Macro state of the PDE growth model: nodal field c on a SolidGrid.
+
+    Offers the same operations as ``ScalarState``; its growth values are
+    arrays with one value per interface node.
+    """
+
+    model: ClassVar[str] = "pde"
 
     grid: SolidGrid
     c: np.ndarray
@@ -202,6 +240,26 @@ class FieldState:
     def interface(self) -> np.ndarray:
         """Concentration on the interface row y = -1."""
         return self.c[-1, :]
+
+    def step(self, gamma_bar: np.ndarray, dt: float, p: GrowthParams) -> "FieldState":
+        """One IMEX step of the reaction-diffusion model with influx gamma_bar."""
+        return macro_step_pde(self, gamma_bar, dt, p)
+
+    def functional(self) -> float:
+        """Scalar observable: the concentration at the interface midpoint."""
+        return interface_midpoint(self)
+
+    def half_width(self) -> np.ndarray:
+        """Channel half-width law h(x) = 1 - c(x), one value per interface node."""
+        return 1.0 - self.interface
+
+    def average_growth(self, wss, p: GrowthParams) -> np.ndarray:
+        """Interface growth flux averaged over the leading (sample) axis of wss."""
+        return gamma_pde(wss, self.grid.x, p).mean(axis=0)
+
+    def combine(self, fine: "FieldState", prev: "FieldState") -> "FieldState":
+        """Predictor-corrector update self + fine - prev, at this state's time."""
+        return FieldState(self.grid, self.c + fine.c - prev.c, self.t)
 
 
 def gamma_ode(wss_l2, c_s, p: GrowthParams):

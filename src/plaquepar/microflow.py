@@ -36,7 +36,6 @@ __all__ = [
     "inflow_velocity",
     "periodic_orbit",
     "wall_shear_stress",
-    "half_width",
     "advance_cycle",
     "solve_micro_problem",
     "solve_stationary_surrogate",
@@ -155,19 +154,6 @@ def wall_shear_stress(q, h_local, params: MicroParams):
     return params.c_geo * 2.0 * params.rho_f * params.nu_f * np.asarray(q) / h_local**2
 
 
-def half_width(macro_state):
-    """Channel half-width law of the surrogate.
-
-    ODE model: h = 1 - c_s (uniform).  PDE model: h(x) = 1 - c(x) with
-    the interface concentration, one value per interface node.
-    """
-    if isinstance(macro_state, growth.ScalarState):
-        return 1.0 - macro_state.c_s
-    if isinstance(macro_state, growth.FieldState):
-        return 1.0 - macro_state.interface
-    raise TypeError(f"unsupported macro state {type(macro_state).__name__}")
-
-
 def _check_open(h, params: MicroParams):
     if np.min(h) <= params.h_min:
         raise ChannelClosureError(
@@ -194,13 +180,6 @@ def advance_cycle(w0: MicroState, h, params: MicroParams):
     return MicroState(float(q_traj[-1])), wss
 
 
-def _cycle_average_gamma(wss, macro_state, growth_params):
-    """Average the growth rate over the N_s samples of one cycle."""
-    if isinstance(macro_state, growth.ScalarState):
-        return float(np.mean(growth.gamma_ode(wss, macro_state.c_s, growth_params)))
-    return growth.gamma_pde(wss, macro_state.grid.x, growth_params).mean(axis=0)
-
-
 def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
                         growth_params: growth.GrowthParams, eps_p: float = 1e-3,
                         max_cycles: int = 10, ledger=None, level: str = "fine",
@@ -224,13 +203,13 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
         raise ValueError(f"eps_p must be positive, got {eps_p}")
     if max_cycles < 2:
         raise ValueError(f"max_cycles must be at least 2, got {max_cycles}")
-    h = half_width(macro_state)
+    h = macro_state.half_width()
     state = w0
     history = []
     converged = False
     for _ in range(max_cycles):
         state, wss = advance_cycle(state, h, params)
-        history.append(_cycle_average_gamma(wss, macro_state, growth_params))
+        history.append(macro_state.average_growth(wss, growth_params))
         if len(history) < 2:
             continue  # gamma_bar^0 is undefined; always run a second cycle
         delta = np.max(np.abs(np.asarray(history[-1]) - np.asarray(history[-2])))
@@ -258,12 +237,9 @@ def solve_stationary_surrogate(macro_state, params: MicroParams,
     Costs no micro problem (the stationary solve is treated as free,
     roughly a factor 100 cheaper than a resolved cycle).
     """
-    h = half_width(macro_state)
+    h = macro_state.half_width()
     _check_open(np.asarray(h, dtype=float), params)
     q_stat = params.mean_inflow
     wss = wall_shear_stress(q_stat, h, params)
-    if isinstance(macro_state, growth.ScalarState):
-        gamma = float(growth.gamma_ode(wss, macro_state.c_s, growth_params))
-    else:
-        gamma = growth.gamma_pde(wss, macro_state.grid.x, growth_params)
-    return GrowthSample(gamma, 0)
+    # one stationary sample: the average over it is the sample itself
+    return GrowthSample(macro_state.average_growth(wss[np.newaxis], growth_params), 0)

@@ -20,8 +20,13 @@ written algorithms: standard/heuristic sweeps reuse the interval's
 initialization micro state on the same process each iteration, while
 re-usage passes the micro state of the neighboring interval's last fine
 step across processes.
+
+With P=1 ``run`` is the serial two-scale run: it returns the report of
+``twoscale.run_serial`` and never builds the engine.  That is the only
+serial path; the CLI's "serial" mode goes through it.
 """
 
+import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,24 +34,12 @@ from dataclasses import dataclass
 from . import growth, microflow
 from .costs import CostLedger, CostModelParams, estimate_parallel_runtime
 from .errors import ConfigError, PararealNonConvergenceError
-from .twoscale import (Schedule, TrajectoryRecord, _fill_record, _new_record,
-                       advance_two_scale, run_coarse_step, run_serial,
-                       state_functional)
+from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
+                       run_coarse_step, run_serial)
 
 __all__ = ["PararealEngine", "PararealReport", "run"]
 
 _MODES = ("standard", "heuristic", "reusage")
-
-
-def _combine(c_coarse, f_fine, c_prev):
-    """Predictor-corrector state update C_new + F - C_old."""
-    if isinstance(c_coarse, growth.ScalarState):
-        return growth.ScalarState(
-            c_coarse.c_s + f_fine.c_s - c_prev.c_s, c_coarse.t
-        )
-    return growth.FieldState(
-        c_coarse.grid, c_coarse.c + f_fine.c - c_prev.c, c_coarse.t
-    )
 
 
 @dataclass
@@ -54,7 +47,6 @@ class _SweepResult:
     end_state: object
     end_micro: microflow.MicroState
     steps: list  # [(state, sample)] per fine step
-    gammas: list  # stored growth values, one per fine step
 
 
 class PararealEngine:
@@ -74,7 +66,8 @@ class PararealEngine:
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         if schedule.P < 2:
-            raise ConfigError("the parareal engine needs P >= 2; use run_serial for P=1")
+            raise ConfigError("the parareal engine needs P >= 2; run() takes P=1 "
+                              "as the serial path")
         self.sched = schedule
         self.gp = growth_params
         self.mp = micro_params
@@ -85,7 +78,6 @@ class PararealEngine:
         self.max_cycles = max_cycles
         self.threads = max(1, min(threads or os.cpu_count() or 1, schedule.P))
         self.ledger = ledger if ledger is not None else CostLedger(schedule.P)
-        self.model = "ode" if isinstance(macro0, growth.ScalarState) else "pde"
 
         self._steps = schedule.interval_steps()
         self._bounds = schedule.boundaries()
@@ -116,7 +108,7 @@ class PararealEngine:
             self.c_bar.append(c)
             self.w_init.append(w)
             self.c_coarse_prev.append(c)
-        endpoint = state_functional(self.c_bar[-1])
+        endpoint = self.c_bar[-1].functional()
         self.fine_endpoints = [endpoint]
         self.coarse_endpoints = [endpoint]
         self.k = 0
@@ -130,7 +122,7 @@ class PararealEngine:
             self.gp, self.mp, self.eps_p, self.max_cycles,
             ledger=self.ledger, level="fine", process=p,
         )
-        return _SweepResult(macro, micro, steps, [s.gamma_bar for _, s in steps])
+        return _SweepResult(macro, micro, steps)
 
     def _run_fine(self, starts, warms):
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
@@ -142,11 +134,7 @@ class PararealEngine:
 
     def _restart(self, p):
         """Interval start state at T_p with the boundary time stamped on it."""
-        state = self.c_bar[p]
-        t = self._bounds[p] * self.sched.dt
-        if isinstance(state, growth.ScalarState):
-            return growth.ScalarState(state.c_s, t)
-        return growth.FieldState(state.grid, state.c, t)
+        return dataclasses.replace(self.c_bar[p], t=self._bounds[p] * self.sched.dt)
 
     # -- one parareal iteration (II) ----------------------------------------
 
@@ -171,16 +159,16 @@ class PararealEngine:
                 new_c[p], w, self._steps[p] * self.sched.dt, self._coarse_kind,
                 self.gp, self.mp, self.eps_p, self.max_cycles, self.ledger,
             )
-            new_c.append(_combine(c_coarse, results[p].end_state,
-                                  self.c_coarse_prev[p + 1]))
+            new_c.append(c_coarse.combine(results[p].end_state,
+                                          self.c_coarse_prev[p + 1]))
             self.c_coarse_prev[p + 1] = c_coarse
         self.ledger.add_message(P)  # broadcast updated interval starts
 
         self.c_bar = new_c
         self.last_results = results
         self.k += 1
-        self.fine_endpoints.append(state_functional(results[-1].end_state))
-        self.coarse_endpoints.append(state_functional(new_c[-1]))
+        self.fine_endpoints.append(results[-1].end_state.functional())
+        self.coarse_endpoints.append(new_c[-1].functional())
         return self
 
     def iterate_reusage(self):
@@ -196,16 +184,13 @@ class PararealEngine:
         self.ledger.add_message(P)  # stored growth values to the master
         self.ledger.add_message(P)  # micro states to the neighboring process
 
-        stored = [g for r in results for g in r.gammas]
+        stored = [sample.gamma_bar for r in results for _, sample in r.steps]
         assert len(stored) == self.sched.N_l
         c = self.macro0
         new_c = [c]
         for p in range(P):
             for j in range(self._bounds[p], self._bounds[p + 1]):
-                if isinstance(c, growth.ScalarState):
-                    c = growth.macro_step_ode(c, stored[j], self.sched.dt)
-                else:
-                    c = growth.macro_step_pde(c, stored[j], self.sched.dt, self.gp)
+                c = c.step(stored[j], self.sched.dt, self.gp)
                 self.ledger.add_rd("coarse")
             new_c.append(c)
         self.ledger.add_message(P)  # broadcast updated interval starts
@@ -213,8 +198,8 @@ class PararealEngine:
         self.c_bar = new_c
         self.last_results = results
         self.k += 1
-        self.fine_endpoints.append(state_functional(results[-1].end_state))
-        self.coarse_endpoints.append(state_functional(new_c[-1]))
+        self.fine_endpoints.append(results[-1].end_state.functional())
+        self.coarse_endpoints.append(new_c[-1].functional())
         return self
 
     # -- assembled output ----------------------------------------------------
@@ -230,16 +215,9 @@ class PararealEngine:
         """Concatenated fine trajectory of the latest iteration."""
         if self.last_results is None:
             raise RuntimeError("no fine sweeps have been run yet")
-        rec = _new_record(self.model, self.macro0, self.sched.N_l)
-        n = 0
-        for res in self.last_results:
-            for state, sample in res.steps:
-                n += 1
-                rec.states.append(state)
-                rec.gammas.append(sample.gamma_bar)
-                _fill_record(rec, n, state, sample)
-        rec.final_micro = self.last_results[-1].end_micro
-        return rec
+        steps = [step for res in self.last_results for step in res.steps]
+        return TrajectoryRecord.from_steps(self.macro0, steps,
+                                           self.last_results[-1].end_micro)
 
 
 @dataclass
@@ -291,6 +269,7 @@ class PararealReport:
 
 def _serial_report(schedule, gp, mp, macro0, micro0, eps_p, max_cycles,
                    stopping, eps_par, cost_params, mode):
+    """The P=1 path of ``run``: one serial run that is also its own reference."""
     ledger = CostLedger(1)
     traj = run_serial(schedule, gp, mp, macro0, micro0, eps_p, max_cycles, ledger)
     return PararealReport(
@@ -315,7 +294,8 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     "fine") or the coarse iterate endpoint ("coarse"); s_0 comes from
     the initialization sweep.  Per-iteration errors are reported against
     a serial reference trajectory (computed here unless supplied).
-    P=1 degrades to the serial two-scale run.
+    P=1 is the serial path: one ``run_serial`` call whose trajectory is
+    also the reference, k_par = 0, labelled with ``mode`` as given.
 
     Raises PararealNonConvergenceError (with the partial report
     attached) when max_iters is exhausted.

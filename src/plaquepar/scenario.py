@@ -18,6 +18,14 @@ __all__ = ["Scenario", "parse_scenario", "preset", "PRESETS"]
 
 _MODES = ("serial", "parareal", "reusage", "heuristic")
 _STOPPING = ("fine", "coarse")
+# accepted value types per field annotation; bool is rejected everywhere
+# (it is an int), and JSON writes whole-number floats such as 300 as int
+_ACCEPTS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    int | None: ((int, type(None)), "an integer or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,11 @@ class Scenario:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, what = _ACCEPTS[f.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.model not in ("ode", "pde"):
             raise ConfigError(f"model must be 'ode' or 'pde', got {self.model!r}")
         if self.mode not in _MODES:
@@ -89,7 +102,7 @@ class Scenario:
             self.micro_params()
             self.schedule()
             if self.model == "pde":
-                growth.SolidGrid(self.nx, self.ny)
+                growth.SolidGrid(self.nx, self.ny).midpoint_index()
         except ConfigError:
             raise
         except ValueError as exc:

@@ -2,8 +2,9 @@
 
 Each macro step first solves the (warm-started) periodic micro problem
 at the current growth state, then advances the foam-cell concentration
-with the cycle-averaged growth value: forward Euler for the scalar ODE
-model, one IMEX step for the reaction-diffusion model.
+with the cycle-averaged growth value through the state's own ``step``:
+forward Euler for the scalar ODE model, one IMEX step for the
+reaction-diffusion model.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,6 @@ __all__ = [
     "DAY",
     "Schedule",
     "TrajectoryRecord",
-    "state_functional",
     "channel_width",
     "advance_two_scale",
     "run_serial",
@@ -84,22 +84,9 @@ class Schedule:
         return b
 
 
-def state_functional(state) -> float:
-    """Scalar observable of a macro state: c_s, or the interface midpoint."""
-    if isinstance(state, growth.ScalarState):
-        return state.c_s
-    return growth.interface_midpoint(state)
-
-
 def channel_width(state) -> float:
     """Channel width 2h at the domain center."""
-    return 2.0 * (1.0 - state_functional(state))
-
-
-def _macro_step(state, gamma_bar, dt, growth_params):
-    if isinstance(state, growth.ScalarState):
-        return growth.macro_step_ode(state, gamma_bar, dt)
-    return growth.macro_step_pde(state, gamma_bar, dt, growth_params)
+    return 2.0 * (1.0 - state.functional())
 
 
 def _gamma_scalar(gamma_bar) -> float:
@@ -133,33 +120,24 @@ class TrajectoryRecord:
     def endpoint(self) -> float:
         return float(self.functionals[-1])
 
-
-def _new_record(model, state0, n_steps):
-    n = n_steps + 1
-    rec = TrajectoryRecord(
-        model=model,
-        t=np.zeros(n),
-        functionals=np.zeros(n),
-        gamma_scalar=np.full(n, np.nan),
-        width=np.zeros(n),
-        cycles=np.zeros(n, dtype=int),
-        states=[state0],
-        gammas=[None],
-        means=np.zeros(n) if model == "pde" else None,
-    )
-    _fill_record(rec, 0, state0)
-    return rec
-
-
-def _fill_record(rec, n, state, sample=None):
-    rec.t[n] = state.t
-    rec.functionals[n] = state_functional(state)
-    rec.width[n] = channel_width(state)
-    if rec.means is not None:
-        rec.means[n] = growth.interface_mean(state)
-    if sample is not None:
-        rec.gamma_scalar[n] = _gamma_scalar(sample.gamma_bar)
-        rec.cycles[n] = sample.cycles_used
+    @classmethod
+    def from_steps(cls, state0, steps, final_micro) -> "TrajectoryRecord":
+        """Record of state0 followed by the (state, GrowthSample) pairs of steps."""
+        states = [state0] + [state for state, _ in steps]
+        samples = [sample for _, sample in steps]
+        return cls(
+            model=state0.model,
+            t=np.array([s.t for s in states]),
+            functionals=np.array([s.functional() for s in states]),
+            gamma_scalar=np.array([np.nan] + [_gamma_scalar(s.gamma_bar) for s in samples]),
+            width=np.array([channel_width(s) for s in states]),
+            cycles=np.array([0] + [s.cycles_used for s in samples], dtype=int),
+            states=states,
+            gammas=[None] + [s.gamma_bar for s in samples],
+            means=(np.array([growth.interface_mean(s) for s in states])
+                   if state0.model == "pde" else None),
+            final_micro=final_micro,
+        )
 
 
 def advance_two_scale(macro, micro, n_steps: int, dt: float,
@@ -179,7 +157,7 @@ def advance_two_scale(macro, micro, n_steps: int, dt: float,
             micro, macro, micro_params, growth_params, eps_p, max_cycles,
             ledger=ledger, level=level, process=process,
         )
-        macro = _macro_step(macro, sample.gamma_bar, dt, growth_params)
+        macro = macro.step(sample.gamma_bar, dt, growth_params)
         if ledger is not None:
             ledger.add_rd(level, process=process)
         steps.append((macro, sample))
@@ -196,20 +174,11 @@ def run_serial(schedule: Schedule, growth_params: growth.GrowthParams,
     state of the previous one; the ledger counts exactly N_l micro
     problems.
     """
-    model = "ode" if isinstance(macro0, growth.ScalarState) else "pde"
-    rec = _new_record(model, macro0, schedule.N_l)
-    macro, micro = macro0, micro0
-    for n in range(1, schedule.N_l + 1):
-        macro, micro, steps = advance_two_scale(
-            macro, micro, 1, schedule.dt, growth_params, micro_params,
-            eps_p, max_cycles, ledger=ledger, level="fine", process=0,
-        )
-        state, sample = steps[0]
-        rec.states.append(state)
-        rec.gammas.append(sample.gamma_bar)
-        _fill_record(rec, n, state, sample)
-    rec.final_micro = micro
-    return rec
+    _, micro, steps = advance_two_scale(
+        macro0, micro0, schedule.N_l, schedule.dt, growth_params, micro_params,
+        eps_p, max_cycles, ledger=ledger, level="fine", process=0,
+    )
+    return TrajectoryRecord.from_steps(macro0, steps, micro)
 
 
 def run_coarse_step(macro, micro, dT: float, mode: str,
@@ -234,7 +203,7 @@ def run_coarse_step(macro, micro, dT: float, mode: str,
         micro = microflow.MicroState(micro_params.mean_inflow)
     else:
         raise ValueError(f"unknown coarse mode {mode!r}")
-    macro = _macro_step(macro, sample.gamma_bar, dT, growth_params)
+    macro = macro.step(sample.gamma_bar, dT, growth_params)
     if ledger is not None:
         ledger.add_rd("coarse")
     return macro, micro, sample

@@ -4,7 +4,7 @@ import pytest
 from plaquepar.errors import ChannelClosureError, MicroNonConvergenceError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import (MicroParams, MicroState, advance_cycle,
-                                 half_width, inflow_velocity, periodic_orbit,
+                                 inflow_velocity, periodic_orbit,
                                  solve_micro_problem,
                                  solve_stationary_surrogate, wall_shear_stress)
 
@@ -219,12 +219,12 @@ def test_stationary_counts_no_micro_problem():
 # --- half-width law -----------------------------------------------------------
 
 def test_half_width_laws():
-    assert half_width(ScalarState(0.25)) == pytest.approx(0.75)
+    assert ScalarState(0.25).half_width() == pytest.approx(0.75)
     grid = SolidGrid(11, 3)
     c = np.zeros((3, 11))
     c[-1, 5] = 0.4
     st = FieldState(grid, c)
-    hw = half_width(st)
+    hw = st.half_width()
     assert hw[5] == pytest.approx(0.6) and hw[0] == pytest.approx(1.0)
 
 

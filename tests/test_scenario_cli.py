@@ -226,7 +226,12 @@ def test_cli_presets_command(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [{"theta": 1.5}, {"lambda_relax": -1.0},
-                                       {"model": "pde", "ny": 2}])
+                                       {"model": "pde", "ny": 2},
+                                       {"model": "pde", "nx": 100},
+                                       {"dt_days": "0.3"}, {"P": "ten"},
+                                       {"model": "pde", "nx": 101.0},
+                                       {"P": True}, {"threads": 1.5},
+                                       {"alpha": True}, {"out_dir": 5}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**preset("ode_paper").to_dict(), **overrides}))

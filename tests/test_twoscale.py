@@ -6,7 +6,7 @@ from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
 from plaquepar.twoscale import (DAY, Schedule, channel_width, run_coarse_step,
-                                run_serial, state_functional, trajectory_to_csv)
+                                run_serial, trajectory_to_csv)
 
 GP = GrowthParams()
 MP = MicroParams()
@@ -188,11 +188,11 @@ def test_trajectory_csv_pde(tmp_path):
 
 
 def test_state_functional_and_width():
-    assert state_functional(ScalarState(0.3)) == 0.3
+    assert ScalarState(0.3).functional() == 0.3
     assert channel_width(ScalarState(0.3)) == pytest.approx(1.4)
     grid = SolidGrid(11, 3)
     c = np.zeros((3, 11))
     c[-1, 5] = 0.2
     st = FieldState(grid, c)
-    assert state_functional(st) == pytest.approx(0.2)
+    assert st.functional() == pytest.approx(0.2)
     assert channel_width(st) == pytest.approx(1.6)
