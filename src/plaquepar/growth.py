@@ -21,6 +21,7 @@ c_ghost = c_below + 2 h_y gamma_bar / D_s, the top-row Laplacian becomes
 2 gamma_bar / h_y.
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -67,7 +68,7 @@ class GrowthParams:
     reaction_sign: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             # alpha = 0 is allowed as the degenerate no-growth configuration
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         for name in ("sigma0", "D_s", "R_s"):
@@ -97,6 +98,9 @@ class SolidGrid:
         self.y = np.linspace(-2.0, -1.0, ny)
         self.hx = 10.0 / (nx - 1)
         self.hy = 1.0 / (ny - 1)
+        # delta_weight(x) on the interface nodes, read by every growth evaluation
+        self.weight = delta_weight(self.x)
+        self.weight.flags.writeable = False
         self._laplacian = None
 
     @property
@@ -184,7 +188,7 @@ class ScalarState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.c_s < 0 or not np.isfinite(self.c_s):
+        if not 0.0 <= self.c_s < math.inf:
             raise ValueError(f"c_s must be finite and non-negative, got {self.c_s}")
 
     def step(self, gamma_bar: float, dt: float, p: GrowthParams) -> "ScalarState":
@@ -199,9 +203,17 @@ class ScalarState:
         """Channel half-width law of the surrogate, h = 1 - c_s (uniform)."""
         return 1.0 - self.c_s
 
-    def average_growth(self, wss, p: GrowthParams) -> float:
-        """Growth rate averaged over the leading (sample) axis of wss."""
-        return float(np.mean(gamma_ode(wss, self.c_s, p), axis=0))
+    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> float:
+        """Growth rate averaged over the leading (sample) axis of the array wss."""
+        if wss.min() < 0:  # c_s >= 0 holds since construction
+            raise ValueError("wall shear stress norm must be non-negative")
+        gamma = _gamma_ode(wss, self.c_s, p)
+        # the sum and division of np.mean, without its per-call dispatch
+        return float(gamma.sum(axis=0) / gamma.shape[0])
+
+    def growth_change(self, new: float, old: float) -> float:
+        """Distance |new - old| of two growth values of this model."""
+        return abs(new - old)
 
     def combine(self, fine: "ScalarState", prev: "ScalarState") -> "ScalarState":
         """Predictor-corrector update self + fine - prev, at this state's time."""
@@ -236,6 +248,14 @@ class FieldState:
     def zero(cls, grid: SolidGrid, t: float = 0.0) -> "FieldState":
         return cls(grid, np.zeros((grid.ny, grid.nx)), t)
 
+    @classmethod
+    def _from_checked(cls, grid: SolidGrid, c: np.ndarray, t: float) -> "FieldState":
+        """State from a finite float (ny, nx) field; skips the checks of __init__."""
+        state = object.__new__(cls)
+        for name, value in (("grid", grid), ("c", c), ("t", t)):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def interface(self) -> np.ndarray:
         """Concentration on the interface row y = -1."""
@@ -253,9 +273,15 @@ class FieldState:
         """Channel half-width law h(x) = 1 - c(x), one value per interface node."""
         return 1.0 - self.interface
 
-    def average_growth(self, wss, p: GrowthParams) -> np.ndarray:
-        """Interface growth flux averaged over the leading (sample) axis of wss."""
-        return gamma_pde(wss, self.grid.x, p).mean(axis=0)
+    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> np.ndarray:
+        """Interface growth flux averaged over the leading (sample) axis of the array wss."""
+        if wss.min() < 0:
+            raise ValueError("wall shear stress must be non-negative")
+        return _gamma_pde(wss, self.grid.weight, p).mean(axis=0)
+
+    def growth_change(self, new: np.ndarray, old: np.ndarray) -> float:
+        """Largest nodewise distance |new - old| of two growth values of this model."""
+        return float(np.max(np.abs(new - old)))
 
     def combine(self, fine: "FieldState", prev: "FieldState") -> "FieldState":
         """Predictor-corrector update self + fine - prev, at this state's time."""
@@ -273,6 +299,11 @@ def gamma_ode(wss_l2, c_s, p: GrowthParams):
         raise ValueError("wall shear stress norm must be non-negative")
     if np.any(np.asarray(c_s) < 0):
         raise ValueError("concentration must be non-negative")
+    return _gamma_ode(wss_l2, c_s, p)
+
+
+def _gamma_ode(wss_l2, c_s, p: GrowthParams):
+    """gamma_ode without its argument checks."""
     return p.alpha / ((1.0 + c_s) * (1.0 + wss_l2**2 / p.sigma0**2))
 
 
@@ -291,7 +322,12 @@ def gamma_pde(wss, x, p: GrowthParams):
     wss = np.asarray(wss, dtype=float)
     if np.any(wss < 0):
         raise ValueError("wall shear stress must be non-negative")
-    return p.alpha * delta_weight(x) / (1.0 + wss**2 / p.sigma0**2)
+    return _gamma_pde(wss, delta_weight(x), p)
+
+
+def _gamma_pde(wss, weight, p: GrowthParams):
+    """gamma_pde without its argument check, given weight = delta_weight(x)."""
+    return p.alpha * weight / (1.0 + wss**2 / p.sigma0**2)
 
 
 def macro_step_ode(state: ScalarState, gamma_bar: float, dt: float) -> ScalarState:
@@ -401,7 +437,7 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
         raise RuntimeError("IMEX linear solve produced non-finite values")
     c = np.zeros((grid.ny, grid.nx))
     c[1:, 1:-1] = u.reshape(nxi, nyi).T
-    return FieldState(grid, c, state.t + dt)
+    return FieldState._from_checked(grid, c, state.t + dt)
 
 
 def interface_midpoint(state: FieldState) -> float:

@@ -20,9 +20,16 @@ amplification, wss = c_geo * 2 rho_f nu_f * q / h^2.
 The cycle-until-periodic loop stops once consecutive cycle-averaged
 growth values agree to eps_p in units of alpha (the criterion is applied
 to gamma_bar / alpha, which makes the tolerance scale-free).
+
+Everything of a cycle that does not depend on the state (the orbit at
+the sample times, the decay factors and the WSS prefactor) is
+computed once per ``MicroParams`` instance and kept on it read-only, so
+one cycle is a handful of array operations.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,15 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+
+class _CycleData(NamedTuple):
+    """State-independent data of one cycle, sampled at tau_m = m * delta_tau, m = 1..N_s."""
+
+    orbit0: float       # periodic_orbit(0)
+    orbit: np.ndarray   # periodic_orbit(tau)
+    decay: np.ndarray   # exp(-lambda_relax * tau)
+    wss_factor: float   # c_geo * 2 rho_f nu_f, as wall_shear_stress groups it
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,7 @@ class MicroParams:
                      "period", "h_min"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lambda_relax < 0:
+        if not self.lambda_relax >= 0:
             raise ValueError(f"lambda_relax must be non-negative, got {self.lambda_relax}")
         if self.inflow_offset not in (0.0, 1.0, 0, 1):
             raise ValueError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
@@ -79,6 +95,17 @@ class MicroParams:
             raise ValueError(
                 f"delta_tau={self.delta_tau} must divide the period {self.period} exactly"
             )
+        # built eagerly, so threads sharing the instance only ever read it
+        tau = self.delta_tau * np.arange(1, self.n_steps + 1)
+        cycle = _CycleData(
+            orbit0=float(periodic_orbit(0.0, self)),
+            orbit=periodic_orbit(tau, self),
+            decay=np.exp(-self.lambda_relax * tau),
+            wss_factor=self.c_geo * 2.0 * self.rho_f * self.nu_f,
+        )
+        for array in (cycle.orbit, cycle.decay):
+            array.flags.writeable = False
+        object.__setattr__(self, "_cycle", cycle)
 
     @property
     def n_steps(self) -> int:
@@ -98,7 +125,7 @@ class MicroState:
     q: float = 0.0
 
     def __post_init__(self):
-        if self.q < 0 or not np.isfinite(self.q):
+        if not 0.0 <= self.q < math.inf:
             raise ValueError(f"flow amplitude must be finite and >= 0, got {self.q}")
 
 
@@ -155,9 +182,11 @@ def wall_shear_stress(q, h_local, params: MicroParams):
 
 
 def _check_open(h, params: MicroParams):
-    if np.min(h) <= params.h_min:
+    """Raise ChannelClosureError unless h > h_min (> 0) everywhere; h is a float or an array."""
+    h_low = h if isinstance(h, float) else np.min(h)
+    if h_low <= params.h_min:
         raise ChannelClosureError(
-            f"channel half-width {np.min(h):g} cm at or below h_min={params.h_min:g} cm"
+            f"channel half-width {h_low:g} cm at or below h_min={params.h_min:g} cm"
         )
 
 
@@ -166,17 +195,21 @@ def advance_cycle(w0: MicroState, h, params: MicroParams):
 
     The trajectory is sampled at tau_m = m * delta_tau, m = 1..N_s.  For
     scalar h the WSS series has shape (N_s,); for a half-width profile
-    of length n it has shape (N_s, n).
+    of length n it has shape (N_s, n).  The values equal those of
+    ``periodic_orbit`` and ``wall_shear_stress`` bit for bit; the
+    returned WSS array is the caller's own.
     """
-    h = np.asarray(h, dtype=float)
-    _check_open(h, params)
-    tau = params.delta_tau * np.arange(1, params.n_steps + 1)
-    dev0 = w0.q - periodic_orbit(0.0, params)
-    q_traj = periodic_orbit(tau, params) + dev0 * np.exp(-params.lambda_relax * tau)
-    if h.ndim == 0:
-        wss = wall_shear_stress(q_traj, h, params)
+    if not isinstance(h, float):
+        h = np.asarray(h, dtype=float)
+        if h.ndim == 0:
+            h = float(h)
+    _check_open(h, params)  # also guarantees h > 0 for the division below
+    cycle = params._cycle
+    q_traj = cycle.orbit + (w0.q - cycle.orbit0) * cycle.decay
+    if isinstance(h, float):
+        wss = cycle.wss_factor * q_traj / (h * h)
     else:
-        wss = wall_shear_stress(q_traj[:, None], h[None, :], params)
+        wss = cycle.wss_factor * q_traj[:, None] / (h * h)
     return MicroState(float(q_traj[-1])), wss
 
 
@@ -204,6 +237,7 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
     if max_cycles < 2:
         raise ValueError(f"max_cycles must be at least 2, got {max_cycles}")
     h = macro_state.half_width()
+    scale = growth_params.alpha if growth_params.alpha > 0 else 1.0
     state = w0
     history = []
     converged = False
@@ -212,8 +246,7 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
         history.append(macro_state.average_growth(wss, growth_params))
         if len(history) < 2:
             continue  # gamma_bar^0 is undefined; always run a second cycle
-        delta = np.max(np.abs(np.asarray(history[-1]) - np.asarray(history[-2])))
-        scale = growth_params.alpha if growth_params.alpha > 0 else 1.0
+        delta = macro_state.growth_change(history[-1], history[-2])
         if delta / scale < eps_p:
             converged = True
             break
@@ -238,7 +271,7 @@ def solve_stationary_surrogate(macro_state, params: MicroParams,
     roughly a factor 100 cheaper than a resolved cycle).
     """
     h = macro_state.half_width()
-    _check_open(np.asarray(h, dtype=float), params)
+    _check_open(h, params)
     q_stat = params.mean_inflow
     wss = wall_shear_stress(q_stat, h, params)
     # one stationary sample: the average over it is the sample itself

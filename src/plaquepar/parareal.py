@@ -295,11 +295,17 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     the initialization sweep.  Per-iteration errors are reported against
     a serial reference trajectory (computed here unless supplied).
     P=1 is the serial path: one ``run_serial`` call whose trajectory is
-    also the reference, k_par = 0, labelled with ``mode`` as given.
+    also the reference, k_par = 0, labelled with ``mode`` as given (one
+    of the engine modes, or "serial", which only P=1 accepts).
 
     Raises PararealNonConvergenceError (with the partial report
     attached) when max_iters is exhausted.
     """
+    if mode not in _MODES and not (mode == "serial" and schedule.P == 1):
+        raise ConfigError(f"mode must be one of {_MODES} (or 'serial' at P=1), "
+                          f"got {mode!r}")
+    if max_iters < 1:
+        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
     if stopping not in ("fine", "coarse"):
         raise ConfigError(f"stopping must be 'fine' or 'coarse', got {stopping!r}")
     if eps_par <= 0:

@@ -8,6 +8,7 @@ seconds internally.  The two shipped presets encode the paper setups:
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from . import growth, microflow
@@ -73,6 +74,9 @@ class Scenario:
             kinds, what = _ACCEPTS[f.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            # JSON reads NaN and Infinity, which no range check below catches
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.model not in ("ode", "pde"):
             raise ConfigError(f"model must be 'ode' or 'pde', got {self.model!r}")
         if self.mode not in _MODES:

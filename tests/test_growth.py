@@ -130,6 +130,27 @@ def test_field_state_validation():
         FieldState(g, np.full((3, 11), np.nan))
 
 
+def test_stepped_state_equals_public_construction_and_checks_stay():
+    # macro_step_pde builds its result without re-running the field
+    # checks; the state must equal one built through FieldState(...),
+    # and public construction and combine must still reject bad fields
+    g = SolidGrid(11, 4)
+    c0 = np.zeros((4, 11))
+    c0[1:, 1:-1] = 0.3
+    state = macro_step_pde(FieldState(g, c0), np.full(11, 1e-8), 0.2 * DAY, GrowthParams())
+    public = FieldState(g, state.c.copy(), state.t)
+    assert state.c.dtype == np.float64 and state.c.shape == (4, 11)
+    assert np.array_equal(state.c, public.c) and state.t == public.t
+    assert state.grid is public.grid
+    with_nan = state.c.copy()
+    with_nan[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        FieldState(g, with_nan)
+    huge = FieldState(g, np.full((4, 11), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        huge.combine(huge, FieldState.zero(g))  # 2e308 overflows to inf
+
+
 def test_pack_unpack_roundtrip():
     g = SolidGrid(11, 4)
     rng = np.random.default_rng(1)
@@ -304,4 +325,6 @@ def test_growth_params_validation():
         GrowthParams(theta=1.5)
     with pytest.raises(ValueError):
         GrowthParams(reaction_sign=0)
+    with pytest.raises(ValueError):
+        GrowthParams(alpha=np.nan)
     GrowthParams(alpha=0.0)  # degenerate no-growth case is allowed

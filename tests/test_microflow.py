@@ -236,4 +236,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MicroParams(rho_f=-1.0)
     with pytest.raises(ValueError):
+        MicroParams(lambda_relax=np.nan)
+    for q in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            MicroState(q)
+    with pytest.raises(ValueError):
         MicroState(-1.0)

@@ -184,6 +184,28 @@ def test_unknown_mode_rejected():
         PararealEngine(sched, GP, MP, m0, w0, mode="bogus")
 
 
+@pytest.mark.parametrize("p", [1, 4])
+def test_run_rejects_unknown_mode_at_any_p(p):
+    sched, m0, w0 = ode_setup(3, 10, p)
+    with pytest.raises(ConfigError, match="mode"):
+        run(sched, GP, MP, m0, w0, mode="bogus")
+
+
+def test_run_accepts_serial_mode_only_at_p_one():
+    sched, m0, w0 = ode_setup(3, 10, 1)
+    assert run(sched, GP, MP, m0, w0, mode="serial").mode == "serial"
+    sched, m0, w0 = ode_setup(3, 10, 2)
+    with pytest.raises(ConfigError, match="mode"):
+        run(sched, GP, MP, m0, w0, mode="serial")
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_run_rejects_max_iters_below_one(p):
+    sched, m0, w0 = ode_setup(3, 10, p)
+    with pytest.raises(ConfigError, match="max_iters"):
+        run(sched, GP, MP, m0, w0, max_iters=0)
+
+
 # --- determinism under concurrency ---------------------------------------------------
 
 def test_scheduling_independent_results():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,7 +232,11 @@ def test_cli_presets_command(tmp_path):
                                        {"dt_days": "0.3"}, {"P": "ten"},
                                        {"model": "pde", "nx": 101.0},
                                        {"P": True}, {"threads": 1.5},
-                                       {"alpha": True}, {"out_dir": 5}])
+                                       {"alpha": True}, {"out_dir": 5},
+                                       {"T_end_days": math.nan},
+                                       {"lambda_relax": math.nan},
+                                       {"alpha": math.nan},
+                                       {"h_min": math.inf}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**preset("ode_paper").to_dict(), **overrides}))
