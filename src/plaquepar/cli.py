@@ -35,9 +35,17 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return Scenario.from_dict(data)
 
 
-def _error_column(report: parareal.PararealReport) -> list:
+def _column(report: parareal.PararealReport) -> dict:
+    """One column of the sweep table: errors per iteration, cost and speedup."""
     key = "fine_error" if report.stopping == "fine" else "coarse_error"
-    return [it[key] for it in report.per_iteration]
+    return {
+        "P": report.P,
+        "errors": [it[key] for it in report.per_iteration],
+        "mp": report.ledger.micro_serial_equivalent,
+        "speedup": report.speedup,
+        "efficiency": report.efficiency,
+        "runtime": report.estimated_runtime,
+    }
 
 
 def run_scenario(scn: Scenario):
@@ -50,18 +58,9 @@ def run_scenario(scn: Scenario):
         schedule, gp, mp, macro0, micro0, mode=_ENGINE_MODE[scn.mode],
         stopping=scn.stopping, eps_par=scn.eps_par, eps_p=scn.eps_p,
         max_cycles=scn.max_cycles, max_iters=scn.max_iters,
-        threads=scn.threads,
     )
-    column = {
-        "P": report.P,
-        "errors": _error_column(report),
-        "mp": report.ledger.micro_serial_equivalent,
-        "speedup": report.speedup,
-        "efficiency": report.efficiency,
-        "runtime": report.estimated_runtime,
-    }
     table = costs.format_sweep_table(
-        [column], reference={"# mp": report.N_l, "speedup": 1.0, "efficiency": 1.0},
+        [_column(report)], reference={"# mp": report.N_l, "speedup": 1.0, "efficiency": 1.0},
     )
     return report.to_dict(), report.trajectory, table
 
@@ -150,19 +149,14 @@ def _cmd_sweep(args) -> int:
                     *scn.initial_states(), mode=_ENGINE_MODE[scn.mode],
                     stopping=scn.stopping, eps_par=scn.eps_par, eps_p=scn.eps_p,
                     max_cycles=scn.max_cycles, max_iters=scn.max_iters,
-                    threads=scn.threads, reference=reference,
+                    reference=reference,
                 )
             except (PararealNonConvergenceError, ChannelClosureError,
                     MicroNonConvergenceError) as exc:
                 failures.append((P, exc))
                 print(f"P={P}: FAILED ({exc})", file=sys.stderr)
                 continue
-            columns.append({
-                "P": P, "errors": _error_column(report),
-                "mp": report.ledger.micro_serial_equivalent,
-                "speedup": report.speedup, "efficiency": report.efficiency,
-                "runtime": report.estimated_runtime,
-            })
+            columns.append(_column(report))
 
     if not columns:
         raise ConfigError("all sweep columns failed; nothing to report")
@@ -204,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario JSON path or preset name")
     run_p.add_argument("--mode", choices=["serial", "parareal", "reusage", "heuristic"])
     run_p.add_argument("--P", type=int, help="number of coarse intervals/processes")
-    run_p.add_argument("--threads", type=int, help="max concurrent fine sweeps")
+    run_p.add_argument("--threads", type=int,
+                       help="accepted (>= 1) and recorded in report.json's wall_clock; "
+                            "fine sweeps run one after another, so it does not "
+                            "change how a run executes")
     run_p.add_argument("--stopping", choices=["fine", "coarse"])
     run_p.add_argument("--out", help="output directory")
     run_p.set_defaults(func=_cmd_run)
@@ -213,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--scenario", required=True)
     sweep_p.add_argument("--P", required=True, help="comma-separated process counts")
     sweep_p.add_argument("--mode", choices=["parareal", "reusage", "heuristic"])
-    sweep_p.add_argument("--threads", type=int)
+    sweep_p.add_argument("--threads", type=int,
+                         help="accepted (>= 1); it does not change how a run executes")
     sweep_p.add_argument("--stopping", choices=["fine", "coarse"])
     sweep_p.add_argument("--out")
     sweep_p.add_argument("--formula-only", action="store_true",

@@ -95,7 +95,6 @@ class MicroParams:
             raise ValueError(
                 f"delta_tau={self.delta_tau} must divide the period {self.period} exactly"
             )
-        # built eagerly, so threads sharing the instance only ever read it
         tau = self.delta_tau * np.arange(1, self.n_steps + 1)
         cycle = _CycleData(
             orbit0=float(periodic_orbit(0.0, self)),

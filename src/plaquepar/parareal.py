@@ -13,10 +13,11 @@ Modes:
   over the whole fine grid from those stored values (no corrector terms
   and no coarse micro problems after initialization).
 
-Fine sweeps of one iteration are independent and run on a thread pool;
-results are merged in interval order and the ledger increments commute,
-so reports are identical for any worker count.  Warm starts follow the
-written algorithms: standard/heuristic sweeps reuse the interval's
+The P fine sweeps of one iteration are independent; the paper runs them
+on P processes, and the engine runs them one after another in interval
+order in the calling thread, counting the same micro problems, growth
+solves and messages per process.  Warm starts follow the written
+algorithms: standard/heuristic sweeps reuse the interval's
 initialization micro state on the same process each iteration, while
 re-usage passes the micro state of the neighboring interval's last fine
 step across processes.
@@ -27,12 +28,11 @@ serial path; the CLI's "serial" mode goes through it.
 """
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import growth, microflow
-from .costs import CostLedger, CostModelParams, estimate_parallel_runtime
+from .costs import (CostLedger, CostModelParams, estimate_parallel_runtime,
+                    speedup_efficiency)
 from .errors import ConfigError, PararealNonConvergenceError
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
@@ -61,8 +61,7 @@ class PararealEngine:
     def __init__(self, schedule: Schedule, growth_params: growth.GrowthParams,
                  micro_params: microflow.MicroParams, macro0, micro0, *,
                  mode: str = "standard", eps_p: float = 1e-3,
-                 max_cycles: int = 10, threads: int | None = None,
-                 ledger: CostLedger | None = None):
+                 max_cycles: int = 10, ledger: CostLedger | None = None):
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         if schedule.P < 2:
@@ -76,7 +75,6 @@ class PararealEngine:
         self.mode = mode
         self.eps_p = eps_p
         self.max_cycles = max_cycles
-        self.threads = max(1, min(threads or os.cpu_count() or 1, schedule.P))
         self.ledger = ledger if ledger is not None else CostLedger(schedule.P)
 
         self._steps = schedule.interval_steps()
@@ -124,34 +122,43 @@ class PararealEngine:
         )
         return _SweepResult(macro, micro, steps)
 
-    def _run_fine(self, starts, warms):
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            futures = [
-                pool.submit(self._sweep, p, starts[p], warms[p])
-                for p in range(self.sched.P)
-            ]
-            return [f.result() for f in futures]
-
     def _restart(self, p):
         """Interval start state at T_p with the boundary time stamped on it."""
         return dataclasses.replace(self.c_bar[p], t=self._bounds[p] * self.sched.dt)
 
+    def _warm_starts(self):
+        """Initialization micro states, or the neighbors' last fine ones once
+        re-usage has stored them."""
+        if self.fine_end_w is not None:
+            return [self.micro0] + self.fine_end_w[: self.sched.P - 1]
+        return self.w_init[: self.sched.P]
+
     # -- one parareal iteration (II) ----------------------------------------
 
     def iterate(self):
+        """Fine sweeps from the current iterate, then the master's update."""
         if self.c_bar is None:
             raise RuntimeError("call initialize() before iterate()")
-        if self.mode == "reusage":
-            return self.iterate_reusage()
-        return self.iterate_standard()
-
-    def iterate_standard(self):
-        """Fine sweeps from the current iterate, then the corrected coarse sweep."""
         P = self.sched.P
-        starts = [self._restart(p) for p in range(P)]
-        results = self._run_fine(starts, self.w_init[:P])
-        self.ledger.add_message(P)  # fine endpoints to the master
+        results = [self._sweep(p, self._restart(p), warm)
+                   for p, warm in enumerate(self._warm_starts())]
+        if self.mode == "reusage":
+            new_c = self._reusage_update(results)
+        else:
+            new_c = self._standard_update(results)
+        self.ledger.add_message(P)  # broadcast updated interval starts
 
+        self.c_bar = new_c
+        self.last_results = results
+        self.k += 1
+        self.fine_endpoints.append(results[-1].end_state.functional())
+        self.coarse_endpoints.append(new_c[-1].functional())
+        return self
+
+    def _standard_update(self, results):
+        """Corrected coarse sweep: C(new) + F(old) - C(old) per interval."""
+        P = self.sched.P
+        self.ledger.add_message(P)  # fine endpoints to the master
         new_c = [self.macro0]
         w = self.micro0  # master's own warm-start chain for the coarse sweep
         for p in range(P):
@@ -162,24 +169,11 @@ class PararealEngine:
             new_c.append(c_coarse.combine(results[p].end_state,
                                           self.c_coarse_prev[p + 1]))
             self.c_coarse_prev[p + 1] = c_coarse
-        self.ledger.add_message(P)  # broadcast updated interval starts
+        return new_c
 
-        self.c_bar = new_c
-        self.last_results = results
-        self.k += 1
-        self.fine_endpoints.append(results[-1].end_state.functional())
-        self.coarse_endpoints.append(new_c[-1].functional())
-        return self
-
-    def iterate_reusage(self):
-        """Fine sweeps storing growth values, then coarse re-propagation on the fine grid."""
+    def _reusage_update(self, results):
+        """Coarse re-propagation on the fine grid from the stored growth values."""
         P = self.sched.P
-        starts = [self._restart(p) for p in range(P)]
-        if self.fine_end_w is None:
-            warms = self.w_init[:P]  # initialization states live at T_p already
-        else:
-            warms = [self.micro0] + self.fine_end_w[: P - 1]
-        results = self._run_fine(starts, warms)
         self.fine_end_w = [r.end_micro for r in results]
         self.ledger.add_message(P)  # stored growth values to the master
         self.ledger.add_message(P)  # micro states to the neighboring process
@@ -193,14 +187,7 @@ class PararealEngine:
                 c = c.step(stored[j], self.sched.dt, self.gp)
                 self.ledger.add_rd("coarse")
             new_c.append(c)
-        self.ledger.add_message(P)  # broadcast updated interval starts
-
-        self.c_bar = new_c
-        self.last_results = results
-        self.k += 1
-        self.fine_endpoints.append(results[-1].end_state.functional())
-        self.coarse_endpoints.append(new_c[-1].functional())
-        return self
+        return new_c
 
     # -- assembled output ----------------------------------------------------
 
@@ -286,7 +273,7 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         micro_params: microflow.MicroParams, macro0, micro0, *,
         mode: str = "standard", stopping: str = "fine", eps_par: float = 1e-3,
         eps_p: float = 1e-3, max_cycles: int = 10, max_iters: int = 20,
-        threads: int | None = None, cost_params: CostModelParams | None = None,
+        cost_params: CostModelParams | None = None,
         reference: TrajectoryRecord | None = None) -> PararealReport:
     """Run the parareal algorithm until |s_k - s_{k-1}| <= eps_par.
 
@@ -323,7 +310,7 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
 
     engine = PararealEngine(
         schedule, growth_params, micro_params, macro0, micro0, mode=mode,
-        eps_p=eps_p, max_cycles=max_cycles, threads=threads,
+        eps_p=eps_p, max_cycles=max_cycles,
     ).initialize()
 
     per_iteration = []
@@ -343,15 +330,14 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
             break
 
     led = engine.ledger
-    count = led.micro_serial_equivalent
-    speedup = schedule.N_l / count
+    speedup, efficiency = speedup_efficiency(led.micro_serial_equivalent,
+                                             schedule.N_l, schedule.P)
     report = PararealReport(
         mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=engine.k,
         converged=converged, stopping=stopping, eps_par=eps_par,
         per_iteration=per_iteration, ledger=led,
         endpoint=engine.endpoint_values(stopping)[-1],
-        reference_endpoint=ref_end, speedup=speedup,
-        efficiency=speedup / schedule.P,
+        reference_endpoint=ref_end, speedup=speedup, efficiency=efficiency,
         estimated_runtime=estimate_parallel_runtime(led, cost_params),
         trajectory=engine.trajectory(), reference=reference,
     )

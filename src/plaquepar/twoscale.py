@@ -98,8 +98,8 @@ def _gamma_scalar(gamma_bar) -> float:
 class TrajectoryRecord:
     """Per-macro-step history of a two-scale run.
 
-    Index n holds the state after n fine steps; gammas[n] and cycles[n]
-    describe the micro problem that produced step n (undefined at n=0).
+    Index n holds the state after n fine steps; gamma_scalar[n] and cycles[n]
+    describe the micro problem that produced step n (NaN and 0 at n=0).
     """
 
     model: str
@@ -109,7 +109,6 @@ class TrajectoryRecord:
     width: np.ndarray
     cycles: np.ndarray
     states: list
-    gammas: list
     means: np.ndarray | None = None
     final_micro: microflow.MicroState = field(default_factory=microflow.MicroState)
 
@@ -133,7 +132,6 @@ class TrajectoryRecord:
             width=np.array([channel_width(s) for s in states]),
             cycles=np.array([0] + [s.cycles_used for s in samples], dtype=int),
             states=states,
-            gammas=[None] + [s.gamma_bar for s in samples],
             means=(np.array([growth.interface_mean(s) for s in states])
                    if state0.model == "pde" else None),
             final_micro=final_micro,

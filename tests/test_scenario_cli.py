@@ -162,6 +162,27 @@ def test_cli_flag_overrides(tmp_path):
     assert report["stopping"] == "coarse"
 
 
+@pytest.mark.parametrize("mode", ["reusage", "heuristic"])
+def test_cli_threads_accepted_recorded_and_inert(tmp_path, capsys, mode):
+    _, path = small_scenario(tmp_path)
+    reports, trajectories = [], []
+    for threads in ("1", "6"):
+        out = tmp_path / threads
+        assert main(["run", "--scenario", path, "--mode", mode, "--P", "5",
+                     "--threads", threads, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report.pop("wall_clock")["threads"] == int(threads)
+        assert report["mode"] == mode
+        reports.append(json.dumps(report))
+        trajectories.append((out / "trajectory.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert trajectories[0] == trajectories[1]
+    capsys.readouterr()
+    assert main(["run", "--scenario", path, "--mode", mode, "--P", "5",
+                 "--threads", "0", "--out", str(tmp_path / "0")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_oversized_p_is_config_error(tmp_path):
     _, path = small_scenario(tmp_path)
     assert main(["run", "--scenario", path, "--mode", "parareal",
