@@ -285,7 +285,7 @@ def format_sweep_table(columns, reference=None) -> str:
             else:
                 row.append(_fmt(v) + mark)
         if reference is not None:
-            row.append(_fmt(reference.get(label)) if isinstance(reference, dict) else "")
+            row.append(_fmt(reference.get(label)))
         body.append(row)
     widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]

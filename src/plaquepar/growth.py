@@ -101,64 +101,6 @@ class SolidGrid:
         # delta_weight(x) on the interface nodes, read by every growth evaluation
         self.weight = delta_weight(self.x)
         self.weight.flags.writeable = False
-        self._laplacian = None
-
-    @property
-    def n_unknowns(self) -> int:
-        return (self.nx - 2) * (self.ny - 1)
-
-    def pack(self, c: np.ndarray) -> np.ndarray:
-        """Extract the unknown nodes (j=1..ny-1, i=1..nx-2) row-major."""
-        return c[1:, 1:-1].ravel()
-
-    def unpack(self, u: np.ndarray) -> np.ndarray:
-        """Rebuild the full field with zero Dirichlet boundary values."""
-        c = np.zeros((self.ny, self.nx))
-        c[1:, 1:-1] = u.reshape(self.ny - 1, self.nx - 2)
-        return c
-
-    def laplacian(self) -> "scipy.sparse.csr_matrix":
-        """Five-point Laplacian on the unknowns, top row ghost-eliminated.
-
-        The matrix excludes the constant influx term 2 gamma_bar / h_y,
-        which belongs on the right-hand side.  This sparse assembly is the
-        reference for the banded one in ``macro_step_pde``.
-        """
-        if self._laplacian is not None:
-            return self._laplacian
-        import scipy.sparse as sp
-
-        nxi = self.nx - 2
-        nyi = self.ny - 1
-        n = nxi * nyi
-        ax = 1.0 / self.hx**2
-        ay = 1.0 / self.hy**2
-        rows, cols, vals = [], [], []
-
-        def idx(i, j):
-            # i in 1..nx-2, j in 1..ny-1
-            return (j - 1) * nxi + (i - 1)
-
-        for j in range(1, self.ny):
-            top = j == self.ny - 1
-            for i in range(1, self.nx - 1):
-                k = idx(i, j)
-                diag = -2.0 * ax - 2.0 * ay
-                if i > 1:
-                    rows.append(k), cols.append(idx(i - 1, j)), vals.append(ax)
-                if i < self.nx - 2:
-                    rows.append(k), cols.append(idx(i + 1, j)), vals.append(ax)
-                if top:
-                    # ghost elimination: y-part is 2 (c_below - c_top) / hy^2
-                    rows.append(k), cols.append(idx(i, j - 1)), vals.append(2.0 * ay)
-                else:
-                    if j > 1:
-                        rows.append(k), cols.append(idx(i, j - 1)), vals.append(ay)
-                    rows.append(k), cols.append(idx(i, j + 1)), vals.append(ay)
-                rows.append(k), cols.append(k), vals.append(diag)
-        lap = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self._laplacian = lap
-        return lap
 
     def midpoint_index(self) -> int:
         i = int(np.argmin(np.abs(self.x)))
@@ -337,9 +279,31 @@ def macro_step_ode(state: ScalarState, gamma_bar: float, dt: float) -> ScalarSta
     return ScalarState(state.c_s + dt * gamma_bar, state.t + dt)
 
 
-def _step_rhs(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
-              forcing: np.ndarray | None) -> np.ndarray:
-    """Validated right-hand side of one IMEX step, shaped (ny-1, nx-2) like the unknowns."""
+def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
+                forcing: np.ndarray | None = None):
+    """Assemble the banded linear system of one IMEX step on the unknown nodes.
+
+    The step solves A c_new = b with
+
+        A = (1/dt) I - D_s L - s R_s theta diag(1 - c_old)
+            + s R_s (1 - theta) diag(c_old),
+        b = (1/dt) c_old + s R_s (1 - theta) c_old
+            + (2/h_y) gamma_bar  (interface row)  [+ forcing].
+
+    L is the ghost-eliminated Laplacian of the grid.  ``forcing`` is an
+    optional volume source on the full (ny, nx) grid, used by
+    manufactured-solution tests.  The unknowns are the nodes j=1..ny-1,
+    i=1..nx-2, numbered x-outer and y-inner (node (i, j) is unknown
+    (i-1)(ny-1) + j-1), so A is banded with half-bandwidth ny-1 (instead
+    of nx-2 in row-major order).
+
+    Returns (ab, b): ab is A in LAPACK band storage of shape
+    (2(ny-1)+1, (nx-2)(ny-1)), with ab[ny-1 + r - q, q] = A[r, q], and b
+    is the right-hand side in the same numbering.  ``macro_step_pde``
+    calls this function through the module global, so a wrapper set on
+    ``growth.imex_system`` (as the span tracer in ``perfbench`` does)
+    times every assembly apart from its solve.
+    """
     grid = state.grid
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -357,66 +321,10 @@ def _step_rhs(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPara
         if forcing.shape != (grid.ny, grid.nx):
             raise ValueError(f"forcing must be a full ({grid.ny}, {grid.nx}) field")
         b += forcing[1:, 1:-1]
-    return b
-
-
-def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
-                forcing: np.ndarray | None = None):
-    """Assemble the linear system of one IMEX step on the unknown nodes.
-
-    The step solves A c_new = b with
-
-        A = (1/dt) I - D_s L - s R_s theta diag(1 - c_old)
-            + s R_s (1 - theta) diag(c_old),
-        b = (1/dt) c_old + s R_s (1 - theta) c_old
-            + (2/h_y) gamma_bar  (interface row)  [+ forcing].
-
-    L is the ghost-eliminated Laplacian of the grid.  ``forcing`` is an
-    optional volume source on the full (ny, nx) grid, used by
-    manufactured-solution tests.  This sparse assembly, in the row-major
-    order of ``SolidGrid.pack``, is the reference for the banded one in
-    ``macro_step_pde``.
-
-    Returns (A, b) with A in CSR format.
-    """
-    import scipy.sparse as sp
-
-    b = _step_rhs(state, gamma_bar, dt, p, forcing).ravel()
-    grid = state.grid
-    c_old = grid.pack(state.c)
-    s = float(p.reaction_sign)
-    react = -s * p.R_s * p.theta * (1.0 - c_old) + s * p.R_s * (1.0 - p.theta) * c_old
-    A = (
-        sp.eye(grid.n_unknowns, format="csr") / dt
-        - p.D_s * grid.laplacian()
-        + sp.diags(react, format="csr")
-    )
-    return A, b
-
-
-def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
-                   forcing: np.ndarray | None = None) -> FieldState:
-    """One IMEX step of the reaction-diffusion model; returns the new field.
-
-    Solves the system of ``imex_system`` with the unknowns numbered
-    x-outer and y-inner, so the matrix is banded with half-bandwidth
-    ny-1 (instead of nx-2 in row-major order).  Its five diagonals are
-    written straight into LAPACK band storage and solved by banded LU
-    with partial pivoting, which is deterministic and accurate to
-    machine precision (well below the 1e-10 relative residual the model
-    requires).  With reaction_sign=+1 and non-negative influx the field
-    stays non-negative as long as the system matrix keeps its M-matrix
-    structure, i.e. for dt below roughly 1/(R_s theta) (about 33 days at
-    the default parameters).
-    """
-    from scipy.linalg import solve_banded
-
-    b = _step_rhs(state, gamma_bar, dt, p, forcing).T.ravel()
-    grid = state.grid
     nxi, nyi = grid.nx - 2, grid.ny - 1
     ax = 1.0 / grid.hx**2
     ay = 1.0 / grid.hy**2
-    c_old = state.c[1:, 1:-1].T
+    c_old = c_old.T
     s = float(p.reaction_sign)
     react = -s * p.R_s * p.theta * (1.0 - c_old) + s * p.R_s * (1.0 - p.theta) * c_old
     # ab[nyi + r - q, q] = A[r, q]; in (nxi, nyi) view each diagonal is
@@ -428,8 +336,30 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
     ab[nyi - 1, :, 1:] = -p.D_s * ay       # node below couples to its upper
     ab[nyi + 1, :, :-1] = -p.D_s * ay      # node above couples to its lower
     ab[nyi + 1, :, -2] = -p.D_s * (2.0 * ay)  # ghost-eliminated interface row
+    return ab.reshape(2 * nyi + 1, -1), b.T.ravel()
+
+
+def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
+                   forcing: np.ndarray | None = None) -> FieldState:
+    """One IMEX step of the reaction-diffusion model; returns the new state.
+
+    Assembles the system with ``imex_system``, called as the module
+    global so that the span tracer sees every assembly, and solves it by
+    banded LU with partial pivoting, which is deterministic and accurate
+    to machine precision (well below the 1e-10 relative residual the
+    model requires).  Returns the FieldState at t + dt with zero
+    Dirichlet boundary values.  With reaction_sign=+1 and non-negative
+    influx the field stays non-negative as long as the system matrix
+    keeps its M-matrix structure, i.e. for dt below roughly
+    1/(R_s theta) (about 33 days at the default parameters).
+    """
+    from scipy.linalg import solve_banded
+
+    ab, b = imex_system(state, gamma_bar, dt, p, forcing)
+    grid = state.grid
+    nxi, nyi = grid.nx - 2, grid.ny - 1
     try:
-        u = solve_banded((nyi, nyi), ab.reshape(2 * nyi + 1, -1), b,
+        u = solve_banded((nyi, nyi), ab, b,
                          overwrite_ab=True, overwrite_b=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"IMEX linear solve failed: {exc}") from exc

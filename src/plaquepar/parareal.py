@@ -31,8 +31,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from . import growth, microflow
-from .costs import (CostLedger, CostModelParams, estimate_parallel_runtime,
-                    speedup_efficiency)
+from .costs import CostLedger, estimate_parallel_runtime, speedup_efficiency
 from .errors import ConfigError, PararealNonConvergenceError
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
@@ -61,7 +60,7 @@ class PararealEngine:
     def __init__(self, schedule: Schedule, growth_params: growth.GrowthParams,
                  micro_params: microflow.MicroParams, macro0, micro0, *,
                  mode: str = "standard", eps_p: float = 1e-3,
-                 max_cycles: int = 10, ledger: CostLedger | None = None):
+                 max_cycles: int = 10):
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         if schedule.P < 2:
@@ -75,7 +74,7 @@ class PararealEngine:
         self.mode = mode
         self.eps_p = eps_p
         self.max_cycles = max_cycles
-        self.ledger = ledger if ledger is not None else CostLedger(schedule.P)
+        self.ledger = CostLedger(schedule.P)
 
         self._steps = schedule.interval_steps()
         self._bounds = schedule.boundaries()
@@ -226,7 +225,6 @@ class PararealReport:
     efficiency: float
     estimated_runtime: float
     trajectory: TrajectoryRecord | None = None
-    reference: TrajectoryRecord | None = None
 
     def to_dict(self) -> dict:
         led = self.ledger
@@ -255,7 +253,7 @@ class PararealReport:
 
 
 def _serial_report(schedule, gp, mp, macro0, micro0, eps_p, max_cycles,
-                   stopping, eps_par, cost_params, mode):
+                   stopping, eps_par, mode):
     """The P=1 path of ``run``: one serial run that is also its own reference."""
     ledger = CostLedger(1)
     traj = run_serial(schedule, gp, mp, macro0, micro0, eps_p, max_cycles, ledger)
@@ -264,8 +262,8 @@ def _serial_report(schedule, gp, mp, macro0, micro0, eps_p, max_cycles,
         stopping=stopping, eps_par=eps_par, per_iteration=[], ledger=ledger,
         endpoint=traj.endpoint, reference_endpoint=traj.endpoint,
         speedup=1.0, efficiency=1.0,
-        estimated_runtime=estimate_parallel_runtime(ledger, cost_params),
-        trajectory=traj, reference=traj,
+        estimated_runtime=estimate_parallel_runtime(ledger),
+        trajectory=traj,
     )
 
 
@@ -273,7 +271,6 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         micro_params: microflow.MicroParams, macro0, micro0, *,
         mode: str = "standard", stopping: str = "fine", eps_par: float = 1e-3,
         eps_p: float = 1e-3, max_cycles: int = 10, max_iters: int = 20,
-        cost_params: CostModelParams | None = None,
         reference: TrajectoryRecord | None = None) -> PararealReport:
     """Run the parareal algorithm until |s_k - s_{k-1}| <= eps_par.
 
@@ -297,11 +294,9 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         raise ConfigError(f"stopping must be 'fine' or 'coarse', got {stopping!r}")
     if eps_par <= 0:
         raise ConfigError(f"eps_par must be positive, got {eps_par}")
-    cost_params = cost_params or CostModelParams()
     if schedule.P == 1:
         return _serial_report(schedule, growth_params, micro_params, macro0,
-                              micro0, eps_p, max_cycles, stopping, eps_par,
-                              cost_params, mode)
+                              micro0, eps_p, max_cycles, stopping, eps_par, mode)
 
     if reference is None:
         reference = run_serial(schedule, growth_params, micro_params,
@@ -338,8 +333,8 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         per_iteration=per_iteration, ledger=led,
         endpoint=engine.endpoint_values(stopping)[-1],
         reference_endpoint=ref_end, speedup=speedup, efficiency=efficiency,
-        estimated_runtime=estimate_parallel_runtime(led, cost_params),
-        trajectory=engine.trajectory(), reference=reference,
+        estimated_runtime=estimate_parallel_runtime(led),
+        trajectory=engine.trajectory(),
     )
     if not converged:
         raise PararealNonConvergenceError(

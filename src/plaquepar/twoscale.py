@@ -52,6 +52,9 @@ class Schedule:
             raise ConfigError(f"N_l must be at least 1, got {self.N_l}")
         if not 1 <= self.P <= self.N_l:
             raise ConfigError(f"P must satisfy 1 <= P <= N_l={self.N_l}, got {self.P}")
+        for name in ("delta_tau", "period"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         ns = self.period / self.delta_tau
         if abs(ns - round(ns)) > 1e-9:
             raise ConfigError(

@@ -47,6 +47,10 @@ def test_schedule_validation():
         Schedule(10.0, 0)
     with pytest.raises(ConfigError):
         Schedule(10.0, 10, 1, delta_tau=0.03)
+    for bad in ({"delta_tau": -0.02}, {"period": -1.0}, {"delta_tau": 0.0},
+                {"delta_tau": float("nan")}):
+        with pytest.raises(ConfigError, match="must be positive"):
+            Schedule(10.0, 10, 1, **bad)
 
 
 # --- serial run ---------------------------------------------------------------
