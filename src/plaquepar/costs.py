@@ -112,10 +112,10 @@ class CostModelParams:
     t_micro: float | None = None
 
     def __post_init__(self):
-        if self.t_rd <= 0:
+        if not self.t_rd > 0:
             raise ValueError(f"t_rd must be positive, got {self.t_rd}")
         per_micro = self.t_micro if self.t_micro is not None else self.fsi_step_cost * 100
-        if per_micro <= 0:
+        if not per_micro > 0:
             raise ValueError("micro-problem cost must be positive")
         if per_micro < 10 * self.t_rd:
             warnings.warn(

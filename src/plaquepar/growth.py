@@ -274,7 +274,7 @@ def _gamma_pde(wss, weight, p: GrowthParams):
 
 def macro_step_ode(state: ScalarState, gamma_bar: float, dt: float) -> ScalarState:
     """One forward-Euler macro step c^n = c^{n-1} + dt * gamma_bar."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     return ScalarState(state.c_s + dt * gamma_bar, state.t + dt)
 
@@ -305,7 +305,7 @@ def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPa
     times every assembly apart from its solve.
     """
     grid = state.grid
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     gamma_bar = np.asarray(gamma_bar, dtype=float)
     if gamma_bar.shape != (grid.nx,):

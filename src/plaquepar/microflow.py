@@ -214,8 +214,7 @@ def advance_cycle(w0: MicroState, h, params: MicroParams):
 
 def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
                         growth_params: growth.GrowthParams, eps_p: float = 1e-3,
-                        max_cycles: int = 10, ledger=None, level: str = "fine",
-                        process=None):
+                        max_cycles: int = 10):
     """Cycle until the averaged growth value stabilizes.
 
     Runs :func:`advance_cycle` repeatedly (at least twice, since the
@@ -224,14 +223,13 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
         max |gamma_bar^r - gamma_bar^{r-1}| / alpha < eps_p.
 
     Returns (GrowthSample, final MicroState); the final state serves as
-    warm start for the next macro step.  Counts exactly one micro
-    problem in the ledger, attributed to ``level`` (and ``process`` for
-    the fine level).
+    warm start for the next macro step.  The callers count the micro
+    problem (``cycles_used`` cycles of ``params.n_steps`` steps each).
 
     Raises MicroNonConvergenceError when max_cycles is exhausted and
     ChannelClosureError when the channel is too narrow.
     """
-    if eps_p <= 0:
+    if not eps_p > 0:
         raise ValueError(f"eps_p must be positive, got {eps_p}")
     if max_cycles < 2:
         raise ValueError(f"max_cycles must be at least 2, got {max_cycles}")
@@ -254,9 +252,6 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
             f"averaged growth value did not stabilize within {max_cycles} cycles "
             f"(lambda_relax={params.lambda_relax:g})"
         )
-    if ledger is not None:
-        ledger.add_micro(level, cycles=len(history), n_steps=params.n_steps,
-                         process=process)
     return GrowthSample(history[-1], len(history), tuple(history)), state
 
 

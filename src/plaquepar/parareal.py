@@ -66,6 +66,7 @@ class PararealEngine:
         if schedule.P < 2:
             raise ConfigError("the parareal engine needs P >= 2; run() takes P=1 "
                               "as the serial path")
+        schedule.check_micro_grid(micro_params)
         self.sched = schedule
         self.gp = growth_params
         self.mp = micro_params
@@ -81,33 +82,43 @@ class PararealEngine:
         self._coarse_kind = "heuristic" if mode == "heuristic" else "two_scale"
 
         self.k = 0
-        self.c_bar = None          # iterate values at T_0..T_P
-        self.w_init = None         # micro states of the initialization sweep
-        self.c_coarse_prev = None  # cached C(c^{(k)}(T_p)) at index p+1
-        self.fine_end_w = None     # per-interval final micro states (re-usage)
-        self.last_results = None   # fine sweeps of the latest iteration
-        self.fine_endpoints = []   # stopping functional, fine variant
-        self.coarse_endpoints = []  # stopping functional, coarse variant
+        self.c_bar = None         # iterate values at T_0..T_P
+        self.w_init = None        # micro states of the initialization sweep
+        self.c_coarse = None      # C(c^{(k)}(T_p)) of the latest coarse sweep at index p
+        self.fine_end_w = None    # per-interval final micro states (re-usage)
+        self.last_results = None  # fine sweeps of the latest iteration
+        self.endpoints = {"fine": [], "coarse": []}  # stopping functionals per variant
 
-    # -- step (I) ----------------------------------------------------------
+    # -- coarse sweep: step (I) and the update of (II) ----------------------
 
-    def initialize(self):
-        """Coarse sweep filling c^{(0)}(T_p) and the warm-start states."""
-        c, w = self.macro0, self.micro0
-        self.c_bar = [c]
-        self.w_init = [w]
-        self.c_coarse_prev = [None]
+    def _coarse_sweep(self, results=None):
+        """One coarse sweep over the P intervals from ``macro0``.
+
+        The master's warm-start micro chain starts at ``micro0``.  Without
+        ``results`` the interval values are the plain coarse values of
+        step (I); with the fine sweeps of the latest iteration each one is
+        corrected to C(c^{(k+1)}(T_p)) + F(c^{(k)}(T_p)) - C(c^{(k)}(T_p)).
+        Keeps the new coarse values as the C(c^{(k)}) of the next sweep and
+        returns (values at T_0..T_P, micro states at T_0..T_P).
+        """
+        values, micro, coarse = [self.macro0], [self.micro0], []
         for p in range(self.sched.P):
             c, w, _ = run_coarse_step(
-                c, w, self._steps[p] * self.sched.dt, self._coarse_kind,
+                values[p], micro[p], self._steps[p] * self.sched.dt, self._coarse_kind,
                 self.gp, self.mp, self.eps_p, self.max_cycles, self.ledger,
             )
-            self.c_bar.append(c)
-            self.w_init.append(w)
-            self.c_coarse_prev.append(c)
+            values.append(c if results is None
+                          else c.combine(results[p].end_state, self.c_coarse[p]))
+            micro.append(w)
+            coarse.append(c)
+        self.c_coarse = coarse
+        return values, micro
+
+    def initialize(self):
+        """Step (I): the coarse sweep filling c^{(0)}(T_p) and the warm starts."""
+        self.c_bar, self.w_init = self._coarse_sweep()
         endpoint = self.c_bar[-1].functional()
-        self.fine_endpoints = [endpoint]
-        self.coarse_endpoints = [endpoint]
+        self.endpoints = {"fine": [endpoint], "coarse": [endpoint]}
         self.k = 0
         return self
 
@@ -117,7 +128,7 @@ class PararealEngine:
         macro, micro, steps = advance_two_scale(
             start_state, warm_micro, self._steps[p], self.sched.dt,
             self.gp, self.mp, self.eps_p, self.max_cycles,
-            ledger=self.ledger, level="fine", process=p,
+            ledger=self.ledger, process=p,
         )
         return _SweepResult(macro, micro, steps)
 
@@ -150,25 +161,14 @@ class PararealEngine:
         self.c_bar = new_c
         self.last_results = results
         self.k += 1
-        self.fine_endpoints.append(results[-1].end_state.functional())
-        self.coarse_endpoints.append(new_c[-1].functional())
+        self.endpoints["fine"].append(results[-1].end_state.functional())
+        self.endpoints["coarse"].append(new_c[-1].functional())
         return self
 
     def _standard_update(self, results):
         """Corrected coarse sweep: C(new) + F(old) - C(old) per interval."""
-        P = self.sched.P
-        self.ledger.add_message(P)  # fine endpoints to the master
-        new_c = [self.macro0]
-        w = self.micro0  # master's own warm-start chain for the coarse sweep
-        for p in range(P):
-            c_coarse, w, _ = run_coarse_step(
-                new_c[p], w, self._steps[p] * self.sched.dt, self._coarse_kind,
-                self.gp, self.mp, self.eps_p, self.max_cycles, self.ledger,
-            )
-            new_c.append(c_coarse.combine(results[p].end_state,
-                                          self.c_coarse_prev[p + 1]))
-            self.c_coarse_prev[p + 1] = c_coarse
-        return new_c
+        self.ledger.add_message(self.sched.P)  # fine endpoints to the master
+        return self._coarse_sweep(results)[0]
 
     def _reusage_update(self, results):
         """Coarse re-propagation on the fine grid from the stored growth values."""
@@ -189,13 +189,6 @@ class PararealEngine:
         return new_c
 
     # -- assembled output ----------------------------------------------------
-
-    def endpoint_values(self, stopping: str):
-        if stopping == "fine":
-            return self.fine_endpoints
-        if stopping == "coarse":
-            return self.coarse_endpoints
-        raise ConfigError(f"stopping must be 'fine' or 'coarse', got {stopping!r}")
 
     def trajectory(self) -> TrajectoryRecord:
         """Concatenated fine trajectory of the latest iteration."""
@@ -252,21 +245,6 @@ class PararealReport:
         }
 
 
-def _serial_report(schedule, gp, mp, macro0, micro0, eps_p, max_cycles,
-                   stopping, eps_par, mode):
-    """The P=1 path of ``run``: one serial run that is also its own reference."""
-    ledger = CostLedger(1)
-    traj = run_serial(schedule, gp, mp, macro0, micro0, eps_p, max_cycles, ledger)
-    return PararealReport(
-        mode=mode, P=1, N_l=schedule.N_l, k_par=0, converged=True,
-        stopping=stopping, eps_par=eps_par, per_iteration=[], ledger=ledger,
-        endpoint=traj.endpoint, reference_endpoint=traj.endpoint,
-        speedup=1.0, efficiency=1.0,
-        estimated_runtime=estimate_parallel_runtime(ledger),
-        trajectory=traj,
-    )
-
-
 def run(schedule: Schedule, growth_params: growth.GrowthParams,
         micro_params: microflow.MicroParams, macro0, micro0, *,
         mode: str = "standard", stopping: str = "fine", eps_par: float = 1e-3,
@@ -292,49 +270,50 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
     if stopping not in ("fine", "coarse"):
         raise ConfigError(f"stopping must be 'fine' or 'coarse', got {stopping!r}")
-    if eps_par <= 0:
+    if not eps_par > 0:
         raise ConfigError(f"eps_par must be positive, got {eps_par}")
     if schedule.P == 1:
-        return _serial_report(schedule, growth_params, micro_params, macro0,
-                              micro0, eps_p, max_cycles, stopping, eps_par, mode)
+        ledger = CostLedger(1)
+        trajectory = run_serial(schedule, growth_params, micro_params, macro0,
+                                micro0, eps_p, max_cycles, ledger)
+        k, converged, per_iteration = 0, True, []
+        endpoint = ref_end = trajectory.endpoint
+    else:
+        if reference is None:
+            reference = run_serial(schedule, growth_params, micro_params,
+                                   macro0, micro0, eps_p, max_cycles, ledger=None)
+        ref_end = reference.endpoint
+        engine = PararealEngine(
+            schedule, growth_params, micro_params, macro0, micro0, mode=mode,
+            eps_p=eps_p, max_cycles=max_cycles,
+        ).initialize()
+        per_iteration = []
+        converged = False
+        while engine.k < max_iters:
+            engine.iterate()
+            values = engine.endpoints[stopping]
+            delta = abs(values[-1] - values[-2])
+            per_iteration.append({
+                "k": engine.k,
+                "fine_error": abs(engine.endpoints["fine"][-1] - ref_end),
+                "coarse_error": abs(engine.endpoints["coarse"][-1] - ref_end),
+                "stopping_delta": delta,
+            })
+            if delta <= eps_par:
+                converged = True
+                break
+        ledger, k, trajectory = engine.ledger, engine.k, engine.trajectory()
+        endpoint = values[-1]
 
-    if reference is None:
-        reference = run_serial(schedule, growth_params, micro_params,
-                               macro0, micro0, eps_p, max_cycles, ledger=None)
-    ref_end = reference.endpoint
-
-    engine = PararealEngine(
-        schedule, growth_params, micro_params, macro0, micro0, mode=mode,
-        eps_p=eps_p, max_cycles=max_cycles,
-    ).initialize()
-
-    per_iteration = []
-    converged = False
-    while engine.k < max_iters:
-        engine.iterate()
-        values = engine.endpoint_values(stopping)
-        delta = abs(values[-1] - values[-2])
-        per_iteration.append({
-            "k": engine.k,
-            "fine_error": abs(engine.fine_endpoints[-1] - ref_end),
-            "coarse_error": abs(engine.coarse_endpoints[-1] - ref_end),
-            "stopping_delta": delta,
-        })
-        if delta <= eps_par:
-            converged = True
-            break
-
-    led = engine.ledger
-    speedup, efficiency = speedup_efficiency(led.micro_serial_equivalent,
+    speedup, efficiency = speedup_efficiency(ledger.micro_serial_equivalent,
                                              schedule.N_l, schedule.P)
     report = PararealReport(
-        mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=engine.k,
+        mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=k,
         converged=converged, stopping=stopping, eps_par=eps_par,
-        per_iteration=per_iteration, ledger=led,
-        endpoint=engine.endpoint_values(stopping)[-1],
+        per_iteration=per_iteration, ledger=ledger, endpoint=endpoint,
         reference_endpoint=ref_end, speedup=speedup, efficiency=efficiency,
-        estimated_runtime=estimate_parallel_runtime(led),
-        trajectory=engine.trajectory(),
+        estimated_runtime=estimate_parallel_runtime(ledger),
+        trajectory=trajectory,
     )
     if not converged:
         raise PararealNonConvergenceError(

@@ -46,7 +46,7 @@ class Schedule:
     period: float = 1.0
 
     def __post_init__(self):
-        if self.T_end <= 0:
+        if not self.T_end > 0:
             raise ConfigError(f"T_end must be positive, got {self.T_end}")
         if self.N_l < 1:
             raise ConfigError(f"N_l must be at least 1, got {self.N_l}")
@@ -73,6 +73,15 @@ class Schedule:
     @property
     def N_s(self) -> int:
         return int(round(self.period / self.delta_tau))
+
+    def check_micro_grid(self, micro_params):
+        """Raise ConfigError unless micro_params runs on this micro grid."""
+        for name in ("delta_tau", "period"):
+            if getattr(micro_params, name) != getattr(self, name):
+                raise ConfigError(
+                    f"MicroParams.{name}={getattr(micro_params, name)} differs from "
+                    f"the schedule's {name}={getattr(self, name)}"
+                )
 
     def interval_steps(self) -> list:
         """Fine steps per coarse interval (first N_l mod P get the extra one)."""
@@ -145,22 +154,24 @@ def advance_two_scale(macro, micro, n_steps: int, dt: float,
                       growth_params: growth.GrowthParams,
                       micro_params: microflow.MicroParams,
                       eps_p: float = 1e-3, max_cycles: int = 10,
-                      ledger=None, level: str = "fine", process=None):
-    """Advance n_steps of the two-scale loop; the fine/coarse propagator core.
+                      ledger=None, process=None):
+    """Advance n_steps of the two-scale loop; the fine propagator.
 
     Returns (macro, micro, steps) where steps is the per-step list of
     (new state, GrowthSample).  Every step solves one micro problem and
-    performs one growth-model update (both ledgered).
+    performs one growth-model update; with a ledger, both are counted
+    here as fine work of ``process``, the micro problem with its cycles.
     """
     steps = []
     for _ in range(n_steps):
         sample, micro = microflow.solve_micro_problem(
             micro, macro, micro_params, growth_params, eps_p, max_cycles,
-            ledger=ledger, level=level, process=process,
         )
+        if ledger is not None:
+            ledger.add_micro("fine", sample.cycles_used, micro_params.n_steps, process)
         macro = macro.step(sample.gamma_bar, dt, growth_params)
         if ledger is not None:
-            ledger.add_rd(level, process=process)
+            ledger.add_rd("fine", process=process)
         steps.append((macro, sample))
     return macro, micro, steps
 
@@ -173,11 +184,13 @@ def run_serial(schedule: Schedule, growth_params: growth.GrowthParams,
 
     The micro state is warm-started across steps from the quasi-periodic
     state of the previous one; the ledger counts exactly N_l micro
-    problems.
+    problems.  Raises ConfigError when micro_params and the schedule
+    disagree on the micro grid.
     """
+    schedule.check_micro_grid(micro_params)
     _, micro, steps = advance_two_scale(
         macro0, micro0, schedule.N_l, schedule.dt, growth_params, micro_params,
-        eps_p, max_cycles, ledger=ledger, level="fine", process=0,
+        eps_p, max_cycles, ledger=ledger, process=0,
     )
     return TrajectoryRecord.from_steps(macro0, steps, micro)
 
@@ -188,17 +201,19 @@ def run_coarse_step(macro, micro, dT: float, mode: str,
                     eps_p: float = 1e-3, max_cycles: int = 10, ledger=None):
     """One coarse-propagator step of size dT.
 
-    mode "two_scale" solves one micro problem (ledger: +1 coarse micro);
+    mode "two_scale" solves one micro problem and counts it (ledger: +1
+    coarse micro with its cycles);
     mode "heuristic" uses the stationary surrogate instead (+0 micro).
     Returns (new macro state, new micro state, GrowthSample).
     """
-    if dT <= 0:
+    if not dT > 0:
         raise ValueError(f"dT must be positive, got {dT}")
     if mode == "two_scale":
         sample, micro = microflow.solve_micro_problem(
             micro, macro, micro_params, growth_params, eps_p, max_cycles,
-            ledger=ledger, level="coarse",
         )
+        if ledger is not None:
+            ledger.add_micro("coarse", sample.cycles_used, micro_params.n_steps)
     elif mode == "heuristic":
         sample = microflow.solve_stationary_surrogate(macro, micro_params, growth_params)
         micro = microflow.MicroState(micro_params.mean_inflow)

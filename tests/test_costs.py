@@ -147,8 +147,10 @@ def test_unit_step_cost_counts_cycles():
 def test_cost_model_warns_when_rd_dominates():
     with pytest.warns(UserWarning):
         CostModelParams(t_micro=0.05, t_rd=0.01)
-    with pytest.raises(ValueError):
-        CostModelParams(t_rd=-1.0)
+    for bad in ({"t_rd": -1.0}, {"t_rd": float("nan")}, {"t_micro": float("nan")},
+                {"fsi_step_cost": float("nan")}):
+        with pytest.raises(ValueError):
+            CostModelParams(**bad)
 
 
 # --- ledger -----------------------------------------------------------------------------

@@ -96,8 +96,9 @@ def test_macro_step_ode_values():
 
 
 def test_macro_step_ode_requires_positive_dt():
-    with pytest.raises(ValueError):
-        macro_step_ode(ScalarState(0.0), 1e-7, 0.0)
+    for dt in (0.0, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            macro_step_ode(ScalarState(0.0), 1e-7, dt)
 
 
 # --- grid and field state -------------------------------------------------------
@@ -306,6 +307,9 @@ def test_gamma_bar_length_checked():
     g = SolidGrid(11, 3)
     with pytest.raises(ValueError):
         macro_step_pde(FieldState.zero(g), np.zeros(5), 1.0, PDE_GP)
+    for dt in (0.0, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            imex_system(FieldState.zero(g), np.zeros(g.nx), dt, PDE_GP)
 
 
 # --- functionals and exports -------------------------------------------------------

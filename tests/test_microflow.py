@@ -172,18 +172,6 @@ def test_micro_zero_relaxation_converges_trivially():
     assert sample.gamma_history[0] == sample.gamma_history[1]
 
 
-def test_micro_ledger_counts_once():
-    from plaquepar.costs import CostLedger
-    led = CostLedger(2)
-    solve_micro_problem(MicroState(0.0), ScalarState(0.0), MP, GP,
-                        ledger=led, level="fine", process=1)
-    assert led.micro_fine == 1
-    assert led.per_process_micro == [0, 1]
-    solve_micro_problem(MicroState(0.0), ScalarState(0.0), MP, GP,
-                        ledger=led, level="coarse")
-    assert led.micro_coarse == 1
-
-
 def test_micro_field_state_profile():
     grid = SolidGrid(21, 4)
     state = FieldState.zero(grid)
@@ -242,3 +230,6 @@ def test_params_validation():
             MicroState(q)
     with pytest.raises(ValueError):
         MicroState(-1.0)
+    for eps_p in (0.0, np.nan):
+        with pytest.raises(ValueError, match="eps_p"):
+            solve_micro_problem(MicroState(0.0), ScalarState(0.0), MP, GP, eps_p=eps_p)

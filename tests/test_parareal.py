@@ -206,6 +206,15 @@ def test_run_rejects_max_iters_below_one(p):
     sched, m0, w0 = ode_setup(3, 10, p)
     with pytest.raises(ConfigError, match="max_iters"):
         run(sched, GP, MP, m0, w0, max_iters=0)
+    for eps_par in (0.0, float("nan")):
+        with pytest.raises(ConfigError, match="eps_par"):
+            run(sched, GP, MP, m0, w0, eps_par=eps_par)
+
+
+def test_engine_rejects_a_micro_grid_other_than_the_schedule_one():
+    sched, m0, w0 = ode_setup(3, 10, 2)
+    with pytest.raises(ConfigError, match="delta_tau"):
+        PararealEngine(sched, GP, MicroParams(delta_tau=0.01), m0, w0)
 
 
 # --- sequential fine sweeps ----------------------------------------------------------

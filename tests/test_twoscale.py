@@ -5,8 +5,8 @@ from plaquepar.costs import CostLedger
 from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
-from plaquepar.twoscale import (DAY, Schedule, channel_width, run_coarse_step,
-                                run_serial, trajectory_to_csv)
+from plaquepar.twoscale import (DAY, Schedule, advance_two_scale, channel_width,
+                                run_coarse_step, run_serial, trajectory_to_csv)
 
 GP = GrowthParams()
 MP = MicroParams()
@@ -39,8 +39,9 @@ def test_schedule_divisible_case():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        Schedule(-1.0, 10)
+    for t_end in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="T_end"):
+            Schedule(t_end, 10)
     with pytest.raises(ConfigError):
         Schedule(10.0, 10, 11)  # P > N_l
     with pytest.raises(ConfigError):
@@ -51,6 +52,13 @@ def test_schedule_validation():
                 {"delta_tau": float("nan")}):
         with pytest.raises(ConfigError, match="must be positive"):
             Schedule(10.0, 10, 1, **bad)
+
+
+@pytest.mark.parametrize("field", [{"delta_tau": 0.01}, {"period": 2.0}])
+def test_schedule_and_micro_params_must_share_the_micro_grid(field):
+    sched = Schedule(3 * DAY, 10, 1, **field)
+    with pytest.raises(ConfigError, match=next(iter(field))):
+        run_serial(sched, GP, MP, ScalarState(0.0), MicroState(0.0))
 
 
 # --- serial run ---------------------------------------------------------------
@@ -162,6 +170,31 @@ def test_coincident_grids_match_serial_step():
 def test_unknown_coarse_mode():
     with pytest.raises(ValueError):
         run_coarse_step(ScalarState(0.0), MicroState(0.0), 1.0, "bogus", GP, MP)
+    for dT in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="dT"):
+            run_coarse_step(ScalarState(0.0), MicroState(0.0), dT, "two_scale", GP, MP)
+
+
+def test_propagators_count_micro_problems_at_their_level():
+    led = CostLedger(2)
+    _, _, steps = advance_two_scale(ScalarState(0.0), MicroState(0.0), 3, DAY,
+                                    GP, MP, ledger=led, process=1)
+    assert led.micro_fine == 3 and led.per_process_micro == [0, 3]
+    assert led.rd_fine == 3 and led.per_process_rd == [0, 3]
+    cycles = sum(sample.cycles_used for _, sample in steps)
+    assert led.per_process_fsi_steps == [0, cycles * MP.n_steps]
+    assert led.micro_coarse == 0 and led.rd_coarse == 0
+
+    coarse = CostLedger(1)
+    _, _, sample = run_coarse_step(ScalarState(0.0), MicroState(0.0), 5 * DAY,
+                                   "two_scale", GP, MP, ledger=coarse)
+    assert coarse.micro_coarse == 1 and coarse.micro_fine == 0
+    assert coarse.fsi_steps_coarse == sample.cycles_used * MP.n_steps
+
+    heuristic = CostLedger(1)
+    run_coarse_step(ScalarState(0.0), MicroState(0.0), 5 * DAY, "heuristic",
+                    GP, MP, ledger=heuristic)
+    assert heuristic.micro_total == 0 and heuristic.fsi_steps_coarse == 0
 
 
 # --- csv --------------------------------------------------------------------------
