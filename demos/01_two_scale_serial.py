@@ -24,9 +24,8 @@ print()
 results = {}
 for dt_days in (0.3, 7.5, 15.0):
     n_l = int(round(300.0 / dt_days))
-    sched = Schedule(300 * DAY, n_l, 1, scn.delta_tau)
-    rec = run_serial(sched, gp, mp, ScalarState(0.0), MicroState(0.0),
-                     scn.eps_p, scn.max_cycles)
+    sched = Schedule(300 * DAY, n_l, 1)
+    rec = run_serial(sched, gp, mp, ScalarState(0.0), MicroState(0.0))
     results[dt_days] = rec
     print(f"  dt = {dt_days:5.1f} days (N_l = {n_l:4d}):"
           f"  c_s(T) = {rec.endpoint:.6f},  width(T) = {rec.width[-1]:.4f} cm,"

@@ -13,9 +13,9 @@ from plaquepar.parareal import run
 scn = preset("ode_paper")
 gp, mp = scn.growth_params(), scn.micro_params()
 N_L, P = 100, 10
-sched = Schedule(30 * DAY, N_L, P, scn.delta_tau)
+sched = Schedule(30 * DAY, N_L, P)
 
-reference = run_serial(Schedule(sched.T_end, N_L, 1, scn.delta_tau), gp, mp,
+reference = run_serial(Schedule(sched.T_end, N_L, 1), gp, mp,
                        ScalarState(0.0), MicroState(0.0))
 print(f"serial reference: c_s(T) = {reference.endpoint:.8f} "
       f"({N_L} micro problems)\n")

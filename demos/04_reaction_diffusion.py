@@ -20,9 +20,8 @@ gp, mp = scn.growth_params(), scn.micro_params()
 grid = SolidGrid(scn.nx, scn.ny)
 
 N_L = 200  # 200 days at 1-day steps (the reference setup uses 0.2 days)
-sched = Schedule(200 * DAY, N_L, 1, scn.delta_tau)
-rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0),
-                 scn.eps_p, scn.max_cycles)
+sched = Schedule(200 * DAY, N_L, 1)
+rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0))
 
 print("serial reaction-diffusion run, 200 days at 1-day macro steps")
 for t_days in (50, 100, 200):
@@ -39,7 +38,7 @@ print("reaction and diffusion terms then spread it along the interface.")
 print()
 
 P = 10
-rep = run(Schedule(200 * DAY, N_L, P, scn.delta_tau), gp, mp,
+rep = run(Schedule(200 * DAY, N_L, P), gp, mp,
           FieldState.zero(grid), MicroState(0.0), mode="standard",
           stopping="fine", eps_par=scn.eps_par)
 print(f"standard parareal on the field state, P = {P}, eps_par = {scn.eps_par:g}:")

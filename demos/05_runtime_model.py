@@ -35,7 +35,7 @@ gp, mp = scn.growth_params(), scn.micro_params()
 print("synthetic model on a live run (one unit per micro time step, "
       "t_rd = 0.01):")
 for mode in ("standard", "reusage"):
-    rep = run(Schedule(30 * DAY, 100, 10, scn.delta_tau), gp, mp,
+    rep = run(Schedule(30 * DAY, 100, 10), gp, mp,
               ScalarState(0.0), MicroState(0.0), mode=mode, eps_par=1e-3)
     params = CostModelParams()
     led = rep.ledger

@@ -56,8 +56,7 @@ def run_scenario(scn: Scenario):
     # serial scenarios have P = 1, which parareal.run runs as the serial path
     report = parareal.run(
         schedule, gp, mp, macro0, micro0, mode=_ENGINE_MODE[scn.mode],
-        stopping=scn.stopping, eps_par=scn.eps_par, eps_p=scn.eps_p,
-        max_cycles=scn.max_cycles, max_iters=scn.max_iters,
+        stopping=scn.stopping, eps_par=scn.eps_par, max_iters=scn.max_iters,
     )
     table = costs.format_sweep_table(
         [_column(report)], reference={"# mp": report.N_l, "speedup": 1.0, "efficiency": 1.0},
@@ -137,9 +136,8 @@ def _cmd_sweep(args) -> int:
         schedule = scn0.schedule()
         macro0, micro0 = scn0.initial_states()
         reference = twoscale.run_serial(
-            twoscale.Schedule(schedule.T_end, schedule.N_l, 1, schedule.delta_tau),
+            twoscale.Schedule(schedule.T_end, schedule.N_l, 1),
             scn0.growth_params(), scn0.micro_params(), macro0, micro0,
-            scn0.eps_p, scn0.max_cycles,
         )
         for P in p_values:
             scn = Scenario.from_dict({**data, "P": P})
@@ -147,9 +145,8 @@ def _cmd_sweep(args) -> int:
                 report = parareal.run(
                     scn.schedule(), scn.growth_params(), scn.micro_params(),
                     *scn.initial_states(), mode=_ENGINE_MODE[scn.mode],
-                    stopping=scn.stopping, eps_par=scn.eps_par, eps_p=scn.eps_p,
-                    max_cycles=scn.max_cycles, max_iters=scn.max_iters,
-                    reference=reference,
+                    stopping=scn.stopping, eps_par=scn.eps_par,
+                    max_iters=scn.max_iters, reference=reference,
                 )
             except (PararealNonConvergenceError, ChannelClosureError,
                     MicroNonConvergenceError) as exc:

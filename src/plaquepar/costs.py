@@ -102,24 +102,22 @@ class CostModelParams:
     """Synthetic unit costs of the runtime model.
 
     fsi_step_cost is charged per micro time step, so a micro problem
-    costs N_s * cycles * fsi_step_cost; t_micro, when set, overrides
-    this with a flat cost per micro problem (e.g. a measured wall time).
-    t_rd is charged per growth-model solve.
+    costs N_s * cycles * fsi_step_cost; t_rd is charged per growth-model
+    solve.
     """
 
     fsi_step_cost: float = 1.0
     t_rd: float = 0.01
-    t_micro: float | None = None
 
     def __post_init__(self):
-        if not self.t_rd > 0:
-            raise ValueError(f"t_rd must be positive, got {self.t_rd}")
-        per_micro = self.t_micro if self.t_micro is not None else self.fsi_step_cost * 100
-        if not per_micro > 0:
-            raise ValueError("micro-problem cost must be positive")
+        for name in ("fsi_step_cost", "t_rd"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        per_micro = self.fsi_step_cost * 100
         if per_micro < 10 * self.t_rd:
             warnings.warn(
-                "cost model assumes micro problems dominate (t_micro >> t_rd); "
+                "cost model assumes micro problems dominate (per-micro cost >> t_rd); "
                 f"got per-micro {per_micro:g} vs t_rd {self.t_rd:g}",
                 stacklevel=2,
             )
@@ -199,18 +197,12 @@ class CostLedger:
         )
 
     def synthetic_time_coarse(self, params: CostModelParams) -> float:
-        if params.t_micro is not None:
-            micro = params.t_micro * self.micro_coarse
-        else:
-            micro = params.fsi_step_cost * self.fsi_steps_coarse
-        return micro + params.t_rd * self.rd_coarse
+        return (params.fsi_step_cost * self.fsi_steps_coarse
+                + params.t_rd * self.rd_coarse)
 
     def _fine_seconds(self, p: int, params: CostModelParams) -> float:
-        if params.t_micro is not None:
-            micro = params.t_micro * self.per_process_micro[p]
-        else:
-            micro = params.fsi_step_cost * self.per_process_fsi_steps[p]
-        return micro + params.t_rd * self.per_process_rd[p]
+        return (params.fsi_step_cost * self.per_process_fsi_steps[p]
+                + params.t_rd * self.per_process_rd[p])
 
 
 def estimate_parallel_runtime(ledger: CostLedger | None = None,

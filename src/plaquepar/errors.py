@@ -10,7 +10,7 @@ class ChannelClosureError(RuntimeError):
 
 
 class MicroNonConvergenceError(RuntimeError):
-    """Micro problem did not reach a near-periodic state within max_cycles."""
+    """Micro problem did not reach a near-periodic state within its cycle limit."""
 
 
 class PararealNonConvergenceError(RuntimeError):

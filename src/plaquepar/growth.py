@@ -68,12 +68,13 @@ class GrowthParams:
     reaction_sign: int = 1
 
     def __post_init__(self):
-        if not self.alpha >= 0:
+        if not 0 <= self.alpha < math.inf:
             # alpha = 0 is allowed as the degenerate no-growth configuration
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
         for name in ("sigma0", "D_s", "R_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.reaction_sign not in (1, -1):

@@ -68,7 +68,10 @@ class MicroParams:
     period in s; c_geo is the dimensionless calibration constant chosen
     so that wss equals the flow amplitude at unit half-width
     (c_geo * 2 rho_f nu_f = 1 with the defaults).  inflow_offset is 0
-    for the ODE example and 1 for the PDE example.
+    for the ODE example and 1 for the PDE example.  A micro problem
+    cycles until consecutive averaged growth values agree to eps_p, for
+    at most max_cycles cycles.  These fields are the one definition of
+    the micro problem; the macro ``Schedule`` holds none of them.
     """
 
     rho_f: float = 1.0
@@ -80,14 +83,20 @@ class MicroParams:
     delta_tau: float = 0.02
     period: float = 1.0
     h_min: float = 0.05
+    eps_p: float = 1e-3
+    max_cycles: int = 10
 
     def __post_init__(self):
         for name in ("rho_f", "nu_f", "c_geo", "inflow_amplitude", "delta_tau",
-                     "period", "h_min"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.lambda_relax >= 0:
-            raise ValueError(f"lambda_relax must be non-negative, got {self.lambda_relax}")
+                     "period", "h_min", "eps_p"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.lambda_relax < math.inf:
+            raise ValueError(f"lambda_relax must be non-negative and finite, "
+                             f"got {self.lambda_relax}")
+        if not (isinstance(self.max_cycles, int) and self.max_cycles >= 2):
+            raise ValueError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
         if self.inflow_offset not in (0.0, 1.0, 0, 1):
             raise ValueError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
         ns = self.period / self.delta_tau
@@ -213,43 +222,38 @@ def advance_cycle(w0: MicroState, h, params: MicroParams):
 
 
 def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
-                        growth_params: growth.GrowthParams, eps_p: float = 1e-3,
-                        max_cycles: int = 10):
+                        growth_params: growth.GrowthParams):
     """Cycle until the averaged growth value stabilizes.
 
     Runs :func:`advance_cycle` repeatedly (at least twice, since the
     criterion compares consecutive averages) and stops once
 
-        max |gamma_bar^r - gamma_bar^{r-1}| / alpha < eps_p.
+        max |gamma_bar^r - gamma_bar^{r-1}| / alpha < params.eps_p.
 
     Returns (GrowthSample, final MicroState); the final state serves as
     warm start for the next macro step.  The callers count the micro
     problem (``cycles_used`` cycles of ``params.n_steps`` steps each).
 
-    Raises MicroNonConvergenceError when max_cycles is exhausted and
-    ChannelClosureError when the channel is too narrow.
+    Raises MicroNonConvergenceError when params.max_cycles is exhausted
+    and ChannelClosureError when the channel is too narrow.
     """
-    if not eps_p > 0:
-        raise ValueError(f"eps_p must be positive, got {eps_p}")
-    if max_cycles < 2:
-        raise ValueError(f"max_cycles must be at least 2, got {max_cycles}")
     h = macro_state.half_width()
     scale = growth_params.alpha if growth_params.alpha > 0 else 1.0
     state = w0
     history = []
     converged = False
-    for _ in range(max_cycles):
+    for _ in range(params.max_cycles):
         state, wss = advance_cycle(state, h, params)
         history.append(macro_state.average_growth(wss, growth_params))
         if len(history) < 2:
             continue  # gamma_bar^0 is undefined; always run a second cycle
         delta = macro_state.growth_change(history[-1], history[-2])
-        if delta / scale < eps_p:
+        if delta / scale < params.eps_p:
             converged = True
             break
     if not converged:
         raise MicroNonConvergenceError(
-            f"averaged growth value did not stabilize within {max_cycles} cycles "
+            f"averaged growth value did not stabilize within {params.max_cycles} cycles "
             f"(lambda_relax={params.lambda_relax:g})"
         )
     return GrowthSample(history[-1], len(history), tuple(history)), state

@@ -59,22 +59,18 @@ class PararealEngine:
 
     def __init__(self, schedule: Schedule, growth_params: growth.GrowthParams,
                  micro_params: microflow.MicroParams, macro0, micro0, *,
-                 mode: str = "standard", eps_p: float = 1e-3,
-                 max_cycles: int = 10):
+                 mode: str = "standard"):
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         if schedule.P < 2:
             raise ConfigError("the parareal engine needs P >= 2; run() takes P=1 "
                               "as the serial path")
-        schedule.check_micro_grid(micro_params)
         self.sched = schedule
         self.gp = growth_params
         self.mp = micro_params
         self.macro0 = macro0
         self.micro0 = micro0
         self.mode = mode
-        self.eps_p = eps_p
-        self.max_cycles = max_cycles
         self.ledger = CostLedger(schedule.P)
 
         self._steps = schedule.interval_steps()
@@ -105,7 +101,7 @@ class PararealEngine:
         for p in range(self.sched.P):
             c, w, _ = run_coarse_step(
                 values[p], micro[p], self._steps[p] * self.sched.dt, self._coarse_kind,
-                self.gp, self.mp, self.eps_p, self.max_cycles, self.ledger,
+                self.gp, self.mp, self.ledger,
             )
             values.append(c if results is None
                           else c.combine(results[p].end_state, self.c_coarse[p]))
@@ -127,8 +123,7 @@ class PararealEngine:
     def _sweep(self, p, start_state, warm_micro) -> _SweepResult:
         macro, micro, steps = advance_two_scale(
             start_state, warm_micro, self._steps[p], self.sched.dt,
-            self.gp, self.mp, self.eps_p, self.max_cycles,
-            ledger=self.ledger, process=p,
+            self.gp, self.mp, ledger=self.ledger, process=p,
         )
         return _SweepResult(macro, micro, steps)
 
@@ -248,7 +243,7 @@ class PararealReport:
 def run(schedule: Schedule, growth_params: growth.GrowthParams,
         micro_params: microflow.MicroParams, macro0, micro0, *,
         mode: str = "standard", stopping: str = "fine", eps_par: float = 1e-3,
-        eps_p: float = 1e-3, max_cycles: int = 10, max_iters: int = 20,
+        max_iters: int = 20,
         reference: TrajectoryRecord | None = None) -> PararealReport:
     """Run the parareal algorithm until |s_k - s_{k-1}| <= eps_par.
 
@@ -275,17 +270,16 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     if schedule.P == 1:
         ledger = CostLedger(1)
         trajectory = run_serial(schedule, growth_params, micro_params, macro0,
-                                micro0, eps_p, max_cycles, ledger)
+                                micro0, ledger)
         k, converged, per_iteration = 0, True, []
         endpoint = ref_end = trajectory.endpoint
     else:
         if reference is None:
             reference = run_serial(schedule, growth_params, micro_params,
-                                   macro0, micro0, eps_p, max_cycles, ledger=None)
+                                   macro0, micro0)
         ref_end = reference.endpoint
         engine = PararealEngine(
             schedule, growth_params, micro_params, macro0, micro0, mode=mode,
-            eps_p=eps_p, max_cycles=max_cycles,
         ).initialize()
         per_iteration = []
         converged = False

@@ -90,11 +90,8 @@ class Scenario:
             raise ConfigError(
                 f"dt_days={self.dt_days} must divide T_end_days={self.T_end_days}"
             )
-        for name in ("eps_p", "eps_par"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_iters < 1 or self.max_cycles < 2:
-            raise ConfigError("max_iters must be >= 1 and max_cycles >= 2")
+        if self.eps_par <= 0 or self.max_iters < 1:
+            raise ConfigError("eps_par must be positive and max_iters >= 1")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be positive, got {self.threads}")
         if self.rho_s <= 0:
@@ -118,7 +115,7 @@ class Scenario:
 
     def schedule(self) -> Schedule:
         return Schedule(self.T_end_days * DAY, self.N_l,
-                        self.P if self.mode != "serial" else 1, self.delta_tau)
+                        self.P if self.mode != "serial" else 1)
 
     def growth_params(self) -> growth.GrowthParams:
         return growth.GrowthParams(self.alpha, self.sigma0, self.D_s, self.R_s,
@@ -129,7 +126,7 @@ class Scenario:
             rho_f=self.rho_f, nu_f=self.nu_f, lambda_relax=self.lambda_relax,
             c_geo=self.c_geo, inflow_amplitude=self.inflow_amplitude,
             inflow_offset=self.inflow_offset, delta_tau=self.delta_tau,
-            h_min=self.h_min,
+            h_min=self.h_min, eps_p=self.eps_p, max_cycles=self.max_cycles,
         )
 
     def initial_states(self):

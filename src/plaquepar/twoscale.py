@@ -7,6 +7,7 @@ forward Euler for the scalar ODE model, one IMEX step for the
 reaction-diffusion model.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ DAY = 86400.0  # seconds per day
 
 @dataclass(frozen=True)
 class Schedule:
-    """Macro/coarse/micro time grids.
+    """Macro and coarse time grids; the micro grid belongs to MicroParams.
 
     T_end in seconds; the fine step is dt = T_end / N_l (always derived,
     never configured independently).  P coarse intervals cover the
@@ -42,24 +43,14 @@ class Schedule:
     T_end: float
     N_l: int
     P: int = 1
-    delta_tau: float = 0.02
-    period: float = 1.0
 
     def __post_init__(self):
-        if not self.T_end > 0:
-            raise ConfigError(f"T_end must be positive, got {self.T_end}")
+        if not 0 < self.T_end < math.inf:
+            raise ConfigError(f"T_end must be positive and finite, got {self.T_end}")
         if self.N_l < 1:
             raise ConfigError(f"N_l must be at least 1, got {self.N_l}")
         if not 1 <= self.P <= self.N_l:
             raise ConfigError(f"P must satisfy 1 <= P <= N_l={self.N_l}, got {self.P}")
-        for name in ("delta_tau", "period"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        ns = self.period / self.delta_tau
-        if abs(ns - round(ns)) > 1e-9:
-            raise ConfigError(
-                f"delta_tau={self.delta_tau} must divide the period {self.period}"
-            )
 
     @property
     def dt(self) -> float:
@@ -69,19 +60,6 @@ class Schedule:
     def dT(self) -> float:
         """Nominal coarse step T_end / P."""
         return self.T_end / self.P
-
-    @property
-    def N_s(self) -> int:
-        return int(round(self.period / self.delta_tau))
-
-    def check_micro_grid(self, micro_params):
-        """Raise ConfigError unless micro_params runs on this micro grid."""
-        for name in ("delta_tau", "period"):
-            if getattr(micro_params, name) != getattr(self, name):
-                raise ConfigError(
-                    f"MicroParams.{name}={getattr(micro_params, name)} differs from "
-                    f"the schedule's {name}={getattr(self, name)}"
-                )
 
     def interval_steps(self) -> list:
         """Fine steps per coarse interval (first N_l mod P get the extra one)."""
@@ -153,7 +131,6 @@ class TrajectoryRecord:
 def advance_two_scale(macro, micro, n_steps: int, dt: float,
                       growth_params: growth.GrowthParams,
                       micro_params: microflow.MicroParams,
-                      eps_p: float = 1e-3, max_cycles: int = 10,
                       ledger=None, process=None):
     """Advance n_steps of the two-scale loop; the fine propagator.
 
@@ -164,9 +141,8 @@ def advance_two_scale(macro, micro, n_steps: int, dt: float,
     """
     steps = []
     for _ in range(n_steps):
-        sample, micro = microflow.solve_micro_problem(
-            micro, macro, micro_params, growth_params, eps_p, max_cycles,
-        )
+        sample, micro = microflow.solve_micro_problem(micro, macro, micro_params,
+                                                      growth_params)
         if ledger is not None:
             ledger.add_micro("fine", sample.cycles_used, micro_params.n_steps, process)
         macro = macro.step(sample.gamma_bar, dt, growth_params)
@@ -178,27 +154,23 @@ def advance_two_scale(macro, micro, n_steps: int, dt: float,
 
 def run_serial(schedule: Schedule, growth_params: growth.GrowthParams,
                micro_params: microflow.MicroParams, macro0, micro0,
-               eps_p: float = 1e-3, max_cycles: int = 10,
                ledger=None) -> TrajectoryRecord:
     """Serial reference run over all N_l macro steps.
 
     The micro state is warm-started across steps from the quasi-periodic
     state of the previous one; the ledger counts exactly N_l micro
-    problems.  Raises ConfigError when micro_params and the schedule
-    disagree on the micro grid.
+    problems.
     """
-    schedule.check_micro_grid(micro_params)
     _, micro, steps = advance_two_scale(
         macro0, micro0, schedule.N_l, schedule.dt, growth_params, micro_params,
-        eps_p, max_cycles, ledger=ledger, process=0,
+        ledger=ledger, process=0,
     )
     return TrajectoryRecord.from_steps(macro0, steps, micro)
 
 
 def run_coarse_step(macro, micro, dT: float, mode: str,
                     growth_params: growth.GrowthParams,
-                    micro_params: microflow.MicroParams,
-                    eps_p: float = 1e-3, max_cycles: int = 10, ledger=None):
+                    micro_params: microflow.MicroParams, ledger=None):
     """One coarse-propagator step of size dT.
 
     mode "two_scale" solves one micro problem and counts it (ledger: +1
@@ -209,9 +181,8 @@ def run_coarse_step(macro, micro, dT: float, mode: str,
     if not dT > 0:
         raise ValueError(f"dT must be positive, got {dT}")
     if mode == "two_scale":
-        sample, micro = microflow.solve_micro_problem(
-            micro, macro, micro_params, growth_params, eps_p, max_cycles,
-        )
+        sample, micro = microflow.solve_micro_problem(micro, macro, micro_params,
+                                                      growth_params)
         if ledger is not None:
             ledger.add_micro("coarse", sample.cycles_used, micro_params.n_steps)
     elif mode == "heuristic":

@@ -60,9 +60,9 @@ def test_criterion_1_cost_formula_reproduction():
 
 def test_criterion_2_finite_termination():
     t0 = time.perf_counter()
-    sched = Schedule(24 * DAY, 16, 4, 0.02)
+    sched = Schedule(24 * DAY, 16, 4)
     gp, mp = GrowthParams(), MicroParams()
-    ref = run_serial(Schedule(sched.T_end, 16, 1, 0.02), gp, mp,
+    ref = run_serial(Schedule(sched.T_end, 16, 1), gp, mp,
                      ScalarState(0.0), MicroState(0.0))
     bounds = sched.boundaries()
     eng = PararealEngine(sched, gp, mp, ScalarState(0.0), MicroState(0.0),
@@ -88,10 +88,10 @@ def test_criterion_3_convergence_property():
     # divergence the reference FSI setup shows for 30-day macro steps)
     scn = preset("ode_paper", T_end_days=30.0, dt_days=0.3)
     gp, mp = scn.growth_params(), scn.micro_params()
-    ref = run_serial(Schedule(30 * DAY, 100, 1, 0.02), gp, mp,
+    ref = run_serial(Schedule(30 * DAY, 100, 1), gp, mp,
                      ScalarState(0.0), MicroState(0.0))
     for P in (5, 10):
-        rep = run(Schedule(30 * DAY, 100, P, 0.02), gp, mp,
+        rep = run(Schedule(30 * DAY, 100, P), gp, mp,
                   ScalarState(0.0), MicroState(0.0), mode="standard",
                   stopping="fine", eps_par=1e-3, reference=ref)
         errs = [it["fine_error"] for it in rep.per_iteration]
@@ -111,11 +111,10 @@ def test_criterion_4_micro_periodicity():
     assert residual <= 1e-3
     # paper-reported reduction 6.28 -> 6e-4 within one period, +-50%
     assert 0.5 * 6e-4 <= residual <= 1.5 * 6e-4
-    on_orbit, _ = solve_micro_problem(MicroState(q0), ScalarState(0.0), mp, gp,
-                                      eps_p=1e-3)
+    on_orbit, _ = solve_micro_problem(MicroState(q0), ScalarState(0.0), mp, gp)
     assert on_orbit.cycles_used == 2
     perturbed, _ = solve_micro_problem(MicroState(q0 + 6.28), ScalarState(0.0),
-                                       mp, gp, eps_p=1e-3)
+                                       mp, gp)
     assert perturbed.cycles_used in (2, 3)
     _ok(4, f"6.28 perturbation decays to {residual:.2e} in one cycle; "
            f"{perturbed.cycles_used} cycles to periodicity at eps_p=1e-3")
@@ -171,7 +170,7 @@ def test_criterion_7_reusage_cost_dominance():
     # the same iteration count (the comparison scale behind the bound),
     # stays below sqrt(N_l)/2 + 1
     gp, mp = GrowthParams(), MicroParams()
-    rep = run(Schedule(30 * DAY, 100, 10, 0.02), gp, mp, ScalarState(0.0),
+    rep = run(Schedule(30 * DAY, 100, 10), gp, mp, ScalarState(0.0),
               MicroState(0.0), mode="reusage", eps_par=1e-3)
     led = rep.ledger
     assert led.rd_serial_equivalent == costs.count_rd_reusage(rep.k_par, 10, 100)

@@ -117,7 +117,8 @@ def test_measured_recombination():
 
 
 def test_balanced_synthetic_runtime_identity():
-    # uniform cost per micro problem: estimate = t_micro ((k+1)P + k ceil(N_l/P))
+    # uniform cost per micro problem (2 cycles of 50 steps at unit step cost):
+    # estimate = 100 ((k+1)P + k ceil(N_l/P))
     k, P, n_l = 3, 4, 40
     led = CostLedger(P)
     for _ in range(k):
@@ -128,7 +129,7 @@ def test_balanced_synthetic_runtime_identity():
             led.add_micro("coarse", cycles=2, n_steps=50)
     for _ in range(P):  # initialization sweep
         led.add_micro("coarse", cycles=2, n_steps=50)
-    params = CostModelParams(t_micro=100.0, t_rd=0.01)
+    params = CostModelParams()
     est = estimate_parallel_runtime(led, params)
     assert est == pytest.approx(100.0 * ((k + 1) * P + k * (n_l // P)))
 
@@ -146,8 +147,8 @@ def test_unit_step_cost_counts_cycles():
 
 def test_cost_model_warns_when_rd_dominates():
     with pytest.warns(UserWarning):
-        CostModelParams(t_micro=0.05, t_rd=0.01)
-    for bad in ({"t_rd": -1.0}, {"t_rd": float("nan")}, {"t_micro": float("nan")},
+        CostModelParams(fsi_step_cost=5e-4, t_rd=0.01)
+    for bad in ({"t_rd": -1.0}, {"t_rd": float("nan")}, {"fsi_step_cost": 0.0},
                 {"fsi_step_cost": float("nan")}):
         with pytest.raises(ValueError):
             CostModelParams(**bad)

@@ -145,9 +145,9 @@ def test_micro_gamma_positive_and_bounded():
 
 def test_micro_gamma_differences_geometric():
     # |gamma^r - gamma^{r-1}| decays by about e^{-lambda} per cycle
-    mp = MicroParams(lambda_relax=1.0)
+    mp = MicroParams(lambda_relax=1.0, eps_p=1e-9, max_cycles=30)
     sample, _ = solve_micro_problem(MicroState(orbit0(mp) + 20.0), ScalarState(0.0),
-                                    mp, GP, eps_p=1e-9, max_cycles=30)
+                                    mp, GP)
     diffs = np.abs(np.diff(np.array(sample.gamma_history)))
     ratios = diffs[1:] / diffs[:-1]
     assert np.all(ratios <= np.exp(-mp.lambda_relax) + 0.05)
@@ -155,10 +155,9 @@ def test_micro_gamma_differences_geometric():
 
 def test_micro_nonconvergence_guard():
     # weak contraction: the criterion stays above eps_p until max_cycles
-    mp = MicroParams(lambda_relax=1.0)
+    mp = MicroParams(lambda_relax=1.0, max_cycles=3)
     with pytest.raises(MicroNonConvergenceError):
-        solve_micro_problem(MicroState(orbit0(mp) + 30.0), ScalarState(0.0),
-                            mp, GP, max_cycles=3)
+        solve_micro_problem(MicroState(orbit0(mp) + 30.0), ScalarState(0.0), mp, GP)
 
 
 def test_micro_zero_relaxation_converges_trivially():
@@ -232,4 +231,7 @@ def test_params_validation():
         MicroState(-1.0)
     for eps_p in (0.0, np.nan):
         with pytest.raises(ValueError, match="eps_p"):
-            solve_micro_problem(MicroState(0.0), ScalarState(0.0), MP, GP, eps_p=eps_p)
+            MicroParams(eps_p=eps_p)
+    for max_cycles in (1, 2.5):
+        with pytest.raises(ValueError, match="max_cycles"):
+            MicroParams(max_cycles=max_cycles)

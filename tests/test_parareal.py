@@ -17,12 +17,12 @@ PDE_MP = MicroParams(inflow_offset=1.0)
 
 
 def ode_setup(t_end_days, n_l, p):
-    sched = Schedule(t_end_days * DAY, n_l, p, 0.02)
+    sched = Schedule(t_end_days * DAY, n_l, p)
     return sched, ScalarState(0.0), MicroState(0.0)
 
 
 def serial_reference(sched):
-    ref_sched = Schedule(sched.T_end, sched.N_l, 1, sched.delta_tau)
+    ref_sched = Schedule(sched.T_end, sched.N_l, 1)
     return run_serial(ref_sched, GP, MP, ScalarState(0.0), MicroState(0.0))
 
 
@@ -57,10 +57,10 @@ def test_finite_termination_reusage_bit_exact():
 
 
 def test_finite_termination_pde_midpoint():
-    sched = Schedule(40 * DAY, 16, 4, 0.02)
+    sched = Schedule(40 * DAY, 16, 4)
     grid = SolidGrid(41, 6)
     m0, w0 = FieldState.zero(grid), MicroState(0.0)
-    ref = run_serial(Schedule(sched.T_end, 16, 1, 0.02), PDE_GP, PDE_MP, m0, w0)
+    ref = run_serial(Schedule(sched.T_end, 16, 1), PDE_GP, PDE_MP, m0, w0)
     bounds = sched.boundaries()
     eng = PararealEngine(sched, PDE_GP, PDE_MP, m0, w0, mode="standard").initialize()
     from plaquepar.growth import interface_midpoint
@@ -170,7 +170,7 @@ def test_p_equals_one_degrades_to_serial():
 
 def test_p_larger_than_n_l_rejected():
     with pytest.raises(ConfigError):
-        Schedule(30 * DAY, 10, 20, 0.02)
+        Schedule(30 * DAY, 10, 20)
 
 
 def test_engine_requires_initialize():
@@ -211,12 +211,6 @@ def test_run_rejects_max_iters_below_one(p):
             run(sched, GP, MP, m0, w0, eps_par=eps_par)
 
 
-def test_engine_rejects_a_micro_grid_other_than_the_schedule_one():
-    sched, m0, w0 = ode_setup(3, 10, 2)
-    with pytest.raises(ConfigError, match="delta_tau"):
-        PararealEngine(sched, GP, MicroParams(delta_tau=0.01), m0, w0)
-
-
 # --- sequential fine sweeps ----------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["standard", "reusage"])
@@ -247,7 +241,7 @@ def test_initialize_ledger_attribution():
 
 
 def test_zero_growth_initialization():
-    sched = Schedule(24 * DAY, 16, 4, 0.02)
+    sched = Schedule(24 * DAY, 16, 4)
     gp0 = GrowthParams(alpha=0.0)
     eng = PararealEngine(sched, gp0, MP, ScalarState(0.0), MicroState(0.0),
                          mode="standard").initialize()

@@ -86,6 +86,11 @@ def test_schedule_derivation():
     assert sched_serial.P == 1
 
 
+def test_micro_params_carry_the_periodicity_rule():
+    mp = preset("ode_paper", eps_p=1e-4, max_cycles=12).micro_params()
+    assert (mp.eps_p, mp.max_cycles) == (1e-4, 12)
+
+
 def test_round_trip(tmp_path):
     scn = preset("pde_paper", P=20, mode="reusage", threads=4)
     path = tmp_path / "scn.json"
@@ -257,7 +262,8 @@ def test_cli_presets_command(tmp_path):
                                        {"T_end_days": math.nan},
                                        {"lambda_relax": math.nan},
                                        {"alpha": math.nan},
-                                       {"h_min": math.inf}])
+                                       {"h_min": math.inf},
+                                       {"eps_p": 0.0}, {"max_cycles": 1}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**preset("ode_paper").to_dict(), **overrides}))

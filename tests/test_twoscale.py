@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from plaquepar.costs import CostLedger
+from plaquepar.costs import CostLedger, CostModelParams
 from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
@@ -13,18 +16,16 @@ MP = MicroParams()
 
 
 def ode_run(t_end_days, n_l, ledger=None, gp=GP):
-    sched = Schedule(t_end_days * DAY, n_l, 1, 0.02)
-    return run_serial(sched, gp, MP, ScalarState(0.0), MicroState(0.0),
-                      1e-3, 10, ledger)
+    sched = Schedule(t_end_days * DAY, n_l, 1)
+    return run_serial(sched, gp, MP, ScalarState(0.0), MicroState(0.0), ledger)
 
 
 # --- schedule ----------------------------------------------------------------
 
 def test_schedule_grids():
-    s = Schedule(300 * DAY, 1000, 30, 0.02)
+    s = Schedule(300 * DAY, 1000, 30)
     assert s.dt == pytest.approx(0.3 * DAY)
     assert s.dT == pytest.approx(10 * DAY)
-    assert s.N_s == 50
     steps = s.interval_steps()
     assert sum(steps) == 1000
     assert max(steps) == 34  # ceil(1000/30)
@@ -34,7 +35,7 @@ def test_schedule_grids():
 
 
 def test_schedule_divisible_case():
-    s = Schedule(300 * DAY, 1000, 10, 0.02)
+    s = Schedule(300 * DAY, 1000, 10)
     assert s.interval_steps() == [100] * 10
 
 
@@ -46,19 +47,31 @@ def test_schedule_validation():
         Schedule(10.0, 10, 11)  # P > N_l
     with pytest.raises(ConfigError):
         Schedule(10.0, 0)
-    with pytest.raises(ConfigError):
-        Schedule(10.0, 10, 1, delta_tau=0.03)
-    for bad in ({"delta_tau": -0.02}, {"period": -1.0}, {"delta_tau": 0.0},
-                {"delta_tau": float("nan")}):
-        with pytest.raises(ConfigError, match="must be positive"):
-            Schedule(10.0, 10, 1, **bad)
+    assert [f.name for f in dataclasses.fields(Schedule)] == ["T_end", "N_l", "P"]
+
+
+@pytest.mark.parametrize("cls, field", [
+    (Schedule, "T_end"),
+    *[(MicroParams, name) for name in ("rho_f", "nu_f", "lambda_relax", "c_geo",
+                                       "inflow_amplitude", "delta_tau", "period",
+                                       "h_min", "eps_p")],
+    *[(GrowthParams, name) for name in ("alpha", "sigma0", "D_s", "R_s")],
+    (CostModelParams, "fsi_step_cost"),
+    (CostModelParams, "t_rd"),
+])
+def test_parameter_types_reject_infinity(cls, field):
+    args = {"T_end": 10.0, "N_l": 10} if cls is Schedule else {}
+    with pytest.raises(ValueError, match=field):
+        cls(**{**args, field: math.inf})
 
 
 @pytest.mark.parametrize("field", [{"delta_tau": 0.01}, {"period": 2.0}])
-def test_schedule_and_micro_params_must_share_the_micro_grid(field):
-    sched = Schedule(3 * DAY, 10, 1, **field)
-    with pytest.raises(ConfigError, match=next(iter(field))):
-        run_serial(sched, GP, MP, ScalarState(0.0), MicroState(0.0))
+def test_micro_grid_comes_from_micro_params(field):
+    mp = MicroParams(**field)
+    led = CostLedger(1)
+    rec = run_serial(Schedule(3 * DAY, 10), GP, mp, ScalarState(0.0), MicroState(0.0), led)
+    assert mp.n_steps == 100
+    assert led.per_process_fsi_steps == [int(rec.cycles.sum()) * 100]
 
 
 # --- serial run ---------------------------------------------------------------
@@ -124,10 +137,9 @@ def test_pde_serial_smoke():
     grid = SolidGrid(41, 6)
     gp = GrowthParams(alpha=5e-8)
     mp = MicroParams(inflow_offset=1.0)
-    sched = Schedule(20 * DAY, 20, 1, 0.02)
+    sched = Schedule(20 * DAY, 20, 1)
     led = CostLedger(1)
-    rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0),
-                     1e-3, 10, led)
+    rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0), led)
     assert led.micro_fine == 20 and led.rd_fine == 20
     assert rec.model == "pde"
     assert rec.functionals[-1] > 0
@@ -159,7 +171,7 @@ def test_two_scale_coarse_counts_one_micro_problem():
 
 def test_coincident_grids_match_serial_step():
     # dT = dt reproduces one run_serial step bit for bit
-    sched = Schedule(0.3 * DAY, 1, 1, 0.02)
+    sched = Schedule(0.3 * DAY, 1, 1)
     rec = run_serial(sched, GP, MP, ScalarState(0.0), MicroState(0.0))
     macro, micro, _ = run_coarse_step(ScalarState(0.0), MicroState(0.0),
                                       sched.dt, "two_scale", GP, MP)
@@ -215,7 +227,7 @@ def test_trajectory_csv_pde(tmp_path):
     grid = SolidGrid(21, 4)
     gp = GrowthParams(alpha=5e-8)
     mp = MicroParams(inflow_offset=1.0)
-    sched = Schedule(5 * DAY, 5, 1, 0.02)
+    sched = Schedule(5 * DAY, 5, 1)
     rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(rec, path)
