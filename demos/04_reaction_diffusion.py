@@ -48,4 +48,4 @@ print(f"  k_par = {rep.k_par}, micro problems = "
       f"{rep.ledger.micro_serial_equivalent} (serial reference: {N_L}), "
       f"speedup {rep.speedup:.2f}")
 print(f"  growth-model solves: fine {rep.ledger.rd_fine}, "
-      f"coarse {rep.ledger.rd_coarse} (each is one banded IMEX solve)")
+      f"coarse {rep.ledger.rd_coarse} (each is one IMEX step)")

@@ -28,6 +28,7 @@ serial path; the CLI's "serial" mode goes through it.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from . import growth, microflow
@@ -255,8 +256,9 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     also the reference, k_par = 0, labelled with ``mode`` as given (one
     of the engine modes, or "serial", which only P=1 accepts).
 
-    Raises PararealNonConvergenceError (with the partial report
-    attached) when max_iters is exhausted.
+    Raises ConfigError when a supplied reference does not have N_l + 1
+    points ending at T_end, and PararealNonConvergenceError (with the
+    partial report attached) when max_iters is exhausted.
     """
     if mode not in _MODES and not (mode == "serial" and schedule.P == 1):
         raise ConfigError(f"mode must be one of {_MODES} (or 'serial' at P=1), "
@@ -267,6 +269,13 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         raise ConfigError(f"stopping must be 'fine' or 'coarse', got {stopping!r}")
     if not eps_par > 0:
         raise ConfigError(f"eps_par must be positive, got {eps_par}")
+    if reference is not None and (
+            len(reference) != schedule.N_l + 1
+            or not math.isclose(reference.t[-1], schedule.T_end, rel_tol=1e-9)):
+        raise ConfigError(
+            f"reference has {len(reference)} points ending at t={reference.t[-1]!r}; "
+            f"the schedule needs N_l + 1 = {schedule.N_l + 1} ending at "
+            f"T_end={schedule.T_end!r}")
     if schedule.P == 1:
         ledger = CostLedger(1)
         trajectory = run_serial(schedule, growth_params, micro_params, macro0,

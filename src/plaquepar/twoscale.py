@@ -8,6 +8,7 @@ reaction-diffusion model.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,8 @@ DAY = 86400.0  # seconds per day
 class Schedule:
     """Macro and coarse time grids; the micro grid belongs to MicroParams.
 
-    T_end in seconds; the fine step is dt = T_end / N_l (always derived,
-    never configured independently).  P coarse intervals cover the
+    T_end in seconds; N_l and P are integers (not bool).  The fine step
+    is dt = T_end / N_l (always derived, never configured independently).  P coarse intervals cover the
     horizon; when P does not divide N_l the first N_l mod P intervals
     carry one extra fine step, so interval boundaries stay on the fine
     grid and the per-process maximum is ceil(N_l / P).
@@ -47,6 +48,10 @@ class Schedule:
     def __post_init__(self):
         if not 0 < self.T_end < math.inf:
             raise ConfigError(f"T_end must be positive and finite, got {self.T_end}")
+        for name in ("N_l", "P"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.N_l < 1:
             raise ConfigError(f"N_l must be at least 1, got {self.N_l}")
         if not 1 <= self.P <= self.N_l:

@@ -249,6 +249,100 @@ def test_singular_step_raises_runtime_error():
         macro_step_pde(FieldState.zero(g), np.zeros(g.nx), 1.0, p)
 
 
+# --- fast-diagonalization solve ---------------------------------------------------
+
+def random_field_state(nx, ny, seed, high=0.5):
+    g = SolidGrid(nx, ny)
+    rng = np.random.default_rng(seed)
+    c0 = np.zeros((ny, nx))
+    c0[1:, 1:-1] = rng.uniform(0.0, high, size=(ny - 1, nx - 2))
+    return FieldState(g, c0), rng.uniform(0, 1e-7, size=nx)
+
+
+@pytest.fixture
+def banded_calls(monkeypatch):
+    """Record every fall back to the banded LU solve."""
+    calls = []
+    original = growth._banded_imex_solve
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(growth, "_banded_imex_solve", recording)
+    return calls
+
+
+def test_grid_eigenbases_diagonalize_the_laplacians():
+    g = SolidGrid(9, 5)
+    nxi, nyi = g.nx - 2, g.ny - 1
+    lx = (2.0 * np.eye(nxi) - np.eye(nxi, k=1) - np.eye(nxi, k=-1)) / g.hx**2
+    ly = (2.0 * np.eye(nyi) - np.eye(nyi, k=1) - np.eye(nyi, k=-1)) / g.hy**2
+    ly[-1, -2] = -2.0 / g.hy**2  # ghost-eliminated interface row
+    sx = g.sine_basis
+    assert np.allclose(sx @ sx, np.eye(nxi), atol=1e-14)
+    assert np.allclose(sx @ np.diag(g.x_eigenvalues) @ sx, lx, rtol=0, atol=1e-12 * lx.max())
+    assert np.allclose(g.y_basis @ g.y_basis_inv, np.eye(nyi), atol=1e-14)
+    assert np.allclose(g.y_basis @ np.diag(g.y_eigenvalues) @ g.y_basis_inv, ly,
+                       rtol=0, atol=1e-12 * ly.max())
+    assert np.all(np.diff(g.x_eigenvalues) > 0) and np.all(np.diff(g.y_eigenvalues) > 0)
+    for name in ("sine_basis", "x_eigenvalues", "y_basis", "y_basis_inv", "y_eigenvalues"):
+        assert not getattr(g, name).flags.writeable
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 3), (16, 5), (101, 11)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dt_days", [0.2, 6.0, 20.0])
+def test_fast_step_matches_dense_oracle(nx, ny, sign, dt_days, banded_calls):
+    state, gb = random_field_state(nx, ny, seed=nx * ny)
+    p = GrowthParams(alpha=5e-8, reaction_sign=sign)
+    new = macro_step_pde(state, gb, dt_days * DAY, p)
+    ref = dense_imex_step(state, gb, dt_days * DAY, p)
+    assert not banded_calls
+    assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fallback_step_matches_dense_oracle(banded_calls):
+    # a 60-day step on a field spanning [0, 1]: the reaction diagonal is too
+    # wide for the Richardson correction, so the step takes the banded LU
+    state, gb = random_field_state(16, 5, seed=9, high=1.0)
+    p = GrowthParams(alpha=5e-8)
+    new = macro_step_pde(state, gb, 60 * DAY, p)
+    ref = dense_imex_step(state, gb, 60 * DAY, p)
+    assert len(banded_calls) == 1
+    assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fast_step_projects_round_off_onto_nonnegative(banded_calls):
+    # with influx only on |x| < 1 the exact solution decays to zero towards
+    # x = +-5, where the transforms leave round-off of either sign
+    g = SolidGrid(101, 11)
+    gb = gamma_pde(np.zeros(g.nx), g.x, PDE_GP)
+    state = FieldState.zero(g)
+    for _ in range(3):
+        new = macro_step_pde(state, gb, 0.2 * DAY, PDE_GP)
+        ref = dense_imex_step(state, gb, 0.2 * DAY, PDE_GP)
+        assert new.c.min() >= 0.0
+        assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+        state = new
+    assert not banded_calls
+
+
+def test_negative_forced_solution_is_not_clipped(banded_calls):
+    # the system is an M-matrix here, but a negative source makes the exact
+    # solution negative; only a non-negative right-hand side allows clipping
+    state, gb = random_field_state(16, 5, seed=12)
+    p = GrowthParams(alpha=5e-8)
+    dt = 0.2 * DAY
+    f = np.zeros((5, 16))
+    f[2, 3:7] = -1e-4
+    new = macro_step_pde(state, gb, dt, p, forcing=f)
+    ref = dense_imex_step(state, gb, dt, p, forcing=f)
+    assert not banded_calls
+    assert ref.min() < 0.0 and new.c.min() < 0.0
+    assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_theta_one_reduces_to_backward_euler_linearization():
     # for theta=1 the reaction column of the matrix is -s R (1 - c_old), so
     # the main diagonal is 1/dt + 2 D (1/hx^2 + 1/hy^2) - R (1 - c_old)

@@ -158,6 +158,20 @@ def test_nonconvergence_raises_with_report():
     assert not exc.value.report.converged
 
 
+@pytest.mark.parametrize("t_end_days, n_l", [(3, 5), (30, 5), (3, 10)])
+def test_reference_from_another_schedule_rejected(t_end_days, n_l):
+    # a 3-day reference used to be accepted for a 30-day run, and every
+    # reported error was measured against its endpoint
+    sched, m0, w0 = ode_setup(30, 10, 2)
+    ref = run_serial(Schedule(t_end_days * DAY, n_l, 1), GP, MP, m0, w0)
+    for P in (1, 2):
+        with pytest.raises(ConfigError, match="reference has"):
+            run(Schedule(sched.T_end, sched.N_l, P), GP, MP, m0, w0, reference=ref)
+    matching = serial_reference(sched)
+    rep = run(sched, GP, MP, m0, w0, eps_par=1e-3, reference=matching)
+    assert rep.reference_endpoint == matching.endpoint
+
+
 def test_p_equals_one_degrades_to_serial():
     sched, m0, w0 = ode_setup(30, 50, 1)
     rep = run(sched, GP, MP, m0, w0, mode="standard", eps_par=1e-3)

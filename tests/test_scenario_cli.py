@@ -271,8 +271,9 @@ def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides
     assert "configuration error:" in capsys.readouterr().err
 
 
-def test_ode_run_does_not_import_scipy(tmp_path):
-    _, path = small_scenario(tmp_path)
+def assert_run_leaves_scipy_unloaded(path):
+    """Run the scenario at path through the CLI in a fresh interpreter and
+    check that neither the import nor the run loads scipy."""
     code = ("import sys\n"
             "import plaquepar.cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
@@ -284,6 +285,23 @@ def test_ode_run_does_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ode_run_does_not_import_scipy(tmp_path):
+    _, path = small_scenario(tmp_path)
+    assert_run_leaves_scipy_unloaded(path)
+
+
+@pytest.mark.parametrize("mode", ["parareal", "reusage"])
+def test_pde_run_does_not_import_scipy(tmp_path, mode):
+    # the IMEX step solves by fast diagonalization with numpy; scipy's
+    # banded LU is only the fallback for steps no preset takes
+    scn = preset("pde_paper", T_end_days=20.0, dt_days=0.5, nx=21, ny=6, mode=mode,
+                 P=10, stopping="coarse", out_dir=str(tmp_path / "out"))
+    path = str(tmp_path / "scn.json")
+    scn.to_json(path)
+    assert_run_leaves_scipy_unloaded(path)
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["k_par"] >= 1
 
 
 def test_cli_missing_scenario_file(tmp_path):

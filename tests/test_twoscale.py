@@ -50,6 +50,15 @@ def test_schedule_validation():
     assert [f.name for f in dataclasses.fields(Schedule)] == ["T_end", "N_l", "P"]
 
 
+@pytest.mark.parametrize("field, value", [("N_l", 10.5), ("N_l", True), ("N_l", "10"),
+                                          ("P", 2.0), ("P", True), ("P", np.True_)])
+def test_schedule_rejects_non_integer_counts(field, value):
+    # a float N_l used to pass and fail later with a bare TypeError
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        Schedule(3 * DAY, **{"N_l": 10, "P": 2, field: value})
+    assert Schedule(3 * DAY, np.int64(10), np.int64(2)).interval_steps() == [5, 5]
+
+
 @pytest.mark.parametrize("cls, field", [
     (Schedule, "T_end"),
     *[(MicroParams, name) for name in ("rho_f", "nu_f", "lambda_relax", "c_geo",
