@@ -23,6 +23,8 @@ import threading
 import warnings
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 __all__ = [
     "CostLedger",
     "CostModelParams",
@@ -41,9 +43,9 @@ __all__ = [
 
 def _check_kp(k: int, P: int, N_l: int):
     if k < 1:
-        raise ValueError(f"iteration count must be >= 1, got {k}")
+        raise ConfigError(f"iteration count must be >= 1, got {k}")
     if not 1 <= P <= N_l:
-        raise ValueError(f"P must satisfy 1 <= P <= N_l={N_l}, got {P}")
+        raise ConfigError(f"P must satisfy 1 <= P <= N_l={N_l}, got {P}")
 
 
 def count_standard(k: int, P: int, N_l: int) -> int:

@@ -315,8 +315,8 @@ def macro_step_ode(state: ScalarState, gamma_bar: float, dt: float) -> ScalarSta
 
 
 def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
-                forcing: np.ndarray | None = None):
-    """Assemble the banded linear system of one IMEX step on the unknown nodes.
+                forcing: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side of one IMEX step on the unknown nodes.
 
     The step solves A c_new = b with
 
@@ -327,15 +327,11 @@ def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPa
 
     L is the ghost-eliminated Laplacian of the grid.  ``forcing`` is an
     optional volume source on the full (ny, nx) grid, used by
-    manufactured-solution tests.  The unknowns are the nodes j=1..ny-1,
-    i=1..nx-2, numbered x-outer and y-inner (node (i, j) is unknown
-    (i-1)(ny-1) + j-1), so A is banded with half-bandwidth ny-1 (instead
-    of nx-2 in row-major order).
-
-    Returns (ab, b): ab is A in LAPACK band storage of shape
-    (2(ny-1)+1, (nx-2)(ny-1)), with ab[ny-1 + r - q, q] = A[r, q], and b
-    is the right-hand side in the same numbering.  ``macro_step_pde``
-    calls this function through the module global, so a wrapper set on
+    manufactured-solution tests.  Returns b in the grid layout of the
+    unknowns, shape (ny-1, nx-2) for the nodes j=1..ny-1, i=1..nx-2.
+    The fast solve needs nothing else of A; only the LU fallback builds
+    the band matrix (``_imex_band``).  ``macro_step_pde`` calls this
+    function through the module global, so a wrapper set on
     ``growth.imex_system`` (as the span tracer in ``perfbench`` does)
     times every assembly apart from its solve.
     """
@@ -356,14 +352,25 @@ def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPa
         if forcing.shape != (grid.ny, grid.nx):
             raise ValueError(f"forcing must be a full ({grid.ny}, {grid.nx}) field")
         b += forcing[1:, 1:-1]
+    return b
+
+
+def _imex_band(state: FieldState, dt: float, p: GrowthParams) -> np.ndarray:
+    """The IMEX matrix A of ``imex_system`` in LAPACK band storage.
+
+    The unknowns are numbered x-outer and y-inner (node (i, j) is unknown
+    (i-1)(ny-1) + j-1), so A is banded with half-bandwidth ny-1 (instead
+    of nx-2 in row-major order).  Returns ab of shape
+    (2(ny-1)+1, (nx-2)(ny-1)) with ab[ny-1 + r - q, q] = A[r, q].
+    """
+    grid = state.grid
     nxi, nyi = grid.nx - 2, grid.ny - 1
     ax = 1.0 / grid.hx**2
     ay = 1.0 / grid.hy**2
-    c_old = c_old.T
+    c_old = state.c[1:, 1:-1].T
     s = float(p.reaction_sign)
     react = -s * p.R_s * p.theta * (1.0 - c_old) + s * p.R_s * (1.0 - p.theta) * c_old
-    # ab[nyi + r - q, q] = A[r, q]; in (nxi, nyi) view each diagonal is
-    # indexed by the column q's node (i-1, j-1)
+    # in (nxi, nyi) view each diagonal is indexed by the column q's node (i-1, j-1)
     ab = np.zeros((2 * nyi + 1, nxi, nyi))
     ab[nyi] = (1.0 / dt - p.D_s * (-2.0 * ax - 2.0 * ay)) + react
     ab[0, 1:] = -p.D_s * ax                # left neighbour couples to its right
@@ -371,7 +378,7 @@ def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPa
     ab[nyi - 1, :, 1:] = -p.D_s * ay       # node below couples to its upper
     ab[nyi + 1, :, :-1] = -p.D_s * ay      # node above couples to its lower
     ab[nyi + 1, :, -2] = -p.D_s * (2.0 * ay)  # ghost-eliminated interface row
-    return ab.reshape(2 * nyi + 1, -1), b.T.ravel()
+    return ab.reshape(2 * nyi + 1, -1)
 
 
 # Largest a-priori contraction rate for which macro_step_pde takes the fast
@@ -385,10 +392,10 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
                    forcing: np.ndarray | None = None) -> FieldState:
     """One IMEX step of the reaction-diffusion model; returns the new state.
 
-    Assembles the system with ``imex_system``, called as the module
-    global so that the span tracer sees every assembly, and solves it by
-    fast diagonalization (Lynch, Rice and Thomas 1964) with numpy only.
-    The matrix splits into the Kronecker sum
+    Assembles the right-hand side with ``imex_system``, called as the
+    module global so that the span tracer sees every assembly, and solves
+    the system by fast diagonalization (Lynch, Rice and Thomas 1964) with
+    numpy only.  The matrix splits into the Kronecker sum
 
         M0 = (1/dt + sigma) I - D_s (Lx (+) Ly),
         sigma = s R_s (c_mid - theta),  c_mid the midrange of c_old,
@@ -400,10 +407,10 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
     weighted norm that makes the ghost row symmetric, and runs exactly
     ceil(log 2^-53 / log rho) sweeps, so the result agrees with a
     direct solve to round-off.  When lambda_min(M0) is not safely
-    positive or rho exceeds ``_MAX_CONTRACTION``, the step falls back to
-    scipy's banded LU with partial pivoting (imported on first use);
-    either way the result is deterministic and accurate far below the
-    1e-10 relative residual the model requires.
+    positive or rho exceeds ``_MAX_CONTRACTION``, the step builds the band
+    matrix and falls back to scipy's banded LU with partial pivoting
+    (imported on first use); either way the result is deterministic and
+    accurate far below the 1e-10 relative residual the model requires.
 
     Returns the FieldState at t + dt with zero Dirichlet boundary
     values.  With reaction_sign=+1 and non-negative influx the field
@@ -412,12 +419,11 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
     the default parameters); the fast solve then projects its round-off
     onto c >= 0.
     """
-    ab, b = imex_system(state, gamma_bar, dt, p, forcing)
+    b = imex_system(state, gamma_bar, dt, p, forcing)
     grid = state.grid
-    nxi, nyi = grid.nx - 2, grid.ny - 1
-    u = _fast_imex_solve(grid, state.c[1:, 1:-1], b.reshape(nxi, nyi).T, dt, p)
+    u = _fast_imex_solve(grid, state.c[1:, 1:-1], b, dt, p)
     if u is None:
-        u = _banded_imex_solve(ab, b, nyi).reshape(nxi, nyi).T
+        u = _banded_imex_solve(state, b, dt, p)
     if not np.all(np.isfinite(u)):
         raise RuntimeError("IMEX linear solve produced non-finite values")
     c = np.zeros((grid.ny, grid.nx))
@@ -457,15 +463,19 @@ def _fast_imex_solve(grid: SolidGrid, c_old: np.ndarray, b: np.ndarray, dt: floa
     return u
 
 
-def _banded_imex_solve(ab: np.ndarray, b: np.ndarray, nyi: int) -> np.ndarray:
-    """Solve the band system of ``imex_system`` by LU with partial pivoting."""
+def _banded_imex_solve(state: FieldState, b: np.ndarray, dt: float,
+                       p: GrowthParams) -> np.ndarray:
+    """Solve the IMEX system for the (ny-1, nx-2) unknowns by banded LU with
+    partial pivoting, in the x-outer numbering of ``_imex_band``."""
     from scipy.linalg import solve_banded
 
+    nyi, nxi = b.shape
     try:
-        return solve_banded((nyi, nyi), ab, b,
-                            overwrite_ab=True, overwrite_b=True, check_finite=False)
+        u = solve_banded((nyi, nyi), _imex_band(state, dt, p), b.T.ravel(),
+                         overwrite_ab=True, overwrite_b=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"IMEX linear solve failed: {exc}") from exc
+    return u.reshape(nxi, nyi).T
 
 
 def interface_midpoint(state: FieldState) -> float:

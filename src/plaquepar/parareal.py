@@ -42,13 +42,6 @@ __all__ = ["PararealEngine", "PararealReport", "run"]
 _MODES = ("standard", "heuristic", "reusage")
 
 
-@dataclass
-class _SweepResult:
-    end_state: object
-    end_micro: microflow.MicroState
-    steps: list  # [(state, sample)] per fine step
-
-
 class PararealEngine:
     """Coordinator/worker implementation of the parareal iteration.
 
@@ -83,18 +76,18 @@ class PararealEngine:
         self.w_init = None        # micro states of the initialization sweep
         self.c_coarse = None      # C(c^{(k)}(T_p)) of the latest coarse sweep at index p
         self.fine_end_w = None    # per-interval final micro states (re-usage)
-        self.last_results = None  # fine sweeps of the latest iteration
+        self.last_steps = None    # (state, GrowthSample) per fine step, latest iteration
         self.endpoints = {"fine": [], "coarse": []}  # stopping functionals per variant
 
     # -- coarse sweep: step (I) and the update of (II) ----------------------
 
-    def _coarse_sweep(self, results=None):
+    def _coarse_sweep(self, fine_ends=None):
         """One coarse sweep over the P intervals from ``macro0``.
 
         The master's warm-start micro chain starts at ``micro0``.  Without
-        ``results`` the interval values are the plain coarse values of
-        step (I); with the fine sweeps of the latest iteration each one is
-        corrected to C(c^{(k+1)}(T_p)) + F(c^{(k)}(T_p)) - C(c^{(k)}(T_p)).
+        ``fine_ends`` the interval values are the plain coarse values of
+        step (I); with the fine end states of the latest iteration each one
+        is corrected to C(c^{(k+1)}(T_p)) + F(c^{(k)}(T_p)) - C(c^{(k)}(T_p)).
         Keeps the new coarse values as the C(c^{(k)}) of the next sweep and
         returns (values at T_0..T_P, micro states at T_0..T_P).
         """
@@ -104,8 +97,8 @@ class PararealEngine:
                 values[p], micro[p], self._steps[p] * self.sched.dt, self._coarse_kind,
                 self.gp, self.mp, self.ledger,
             )
-            values.append(c if results is None
-                          else c.combine(results[p].end_state, self.c_coarse[p]))
+            values.append(c if fine_ends is None
+                          else c.combine(fine_ends[p], self.c_coarse[p]))
             micro.append(w)
             coarse.append(c)
         self.c_coarse = coarse
@@ -120,13 +113,6 @@ class PararealEngine:
         return self
 
     # -- fine sweeps (II.a) -------------------------------------------------
-
-    def _sweep(self, p, start_state, warm_micro) -> _SweepResult:
-        macro, micro, steps = advance_two_scale(
-            start_state, warm_micro, self._steps[p], self.sched.dt,
-            self.gp, self.mp, ledger=self.ledger, process=p,
-        )
-        return _SweepResult(macro, micro, steps)
 
     def _restart(self, p):
         """Interval start state at T_p with the boundary time stamped on it."""
@@ -146,34 +132,41 @@ class PararealEngine:
         if self.c_bar is None:
             raise RuntimeError("call initialize() before iterate()")
         P = self.sched.P
-        results = [self._sweep(p, self._restart(p), warm)
-                   for p, warm in enumerate(self._warm_starts())]
+        ends, end_micro, steps = [], [], []
+        for p, warm in enumerate(self._warm_starts()):
+            end, w, interval_steps = advance_two_scale(
+                self._restart(p), warm, self._steps[p], self.sched.dt,
+                self.gp, self.mp, ledger=self.ledger, process=p,
+            )
+            ends.append(end)
+            end_micro.append(w)
+            steps += interval_steps
         if self.mode == "reusage":
-            new_c = self._reusage_update(results)
+            new_c = self._reusage_update(end_micro, steps)
         else:
-            new_c = self._standard_update(results)
+            new_c = self._standard_update(ends)
         self.ledger.add_message(P)  # broadcast updated interval starts
 
         self.c_bar = new_c
-        self.last_results = results
+        self.last_steps = steps
         self.k += 1
-        self.endpoints["fine"].append(results[-1].end_state.functional())
+        self.endpoints["fine"].append(ends[-1].functional())
         self.endpoints["coarse"].append(new_c[-1].functional())
         return self
 
-    def _standard_update(self, results):
+    def _standard_update(self, fine_ends):
         """Corrected coarse sweep: C(new) + F(old) - C(old) per interval."""
         self.ledger.add_message(self.sched.P)  # fine endpoints to the master
-        return self._coarse_sweep(results)[0]
+        return self._coarse_sweep(fine_ends)[0]
 
-    def _reusage_update(self, results):
+    def _reusage_update(self, end_micro, steps):
         """Coarse re-propagation on the fine grid from the stored growth values."""
         P = self.sched.P
-        self.fine_end_w = [r.end_micro for r in results]
+        self.fine_end_w = end_micro
         self.ledger.add_message(P)  # stored growth values to the master
         self.ledger.add_message(P)  # micro states to the neighboring process
 
-        stored = [sample.gamma_bar for r in results for _, sample in r.steps]
+        stored = [sample.gamma_bar for _, sample in steps]
         assert len(stored) == self.sched.N_l
         c = self.macro0
         new_c = [c]
@@ -188,11 +181,9 @@ class PararealEngine:
 
     def trajectory(self) -> TrajectoryRecord:
         """Concatenated fine trajectory of the latest iteration."""
-        if self.last_results is None:
+        if self.last_steps is None:
             raise RuntimeError("no fine sweeps have been run yet")
-        steps = [step for res in self.last_results for step in res.steps]
-        return TrajectoryRecord.from_steps(self.macro0, steps,
-                                           self.last_results[-1].end_micro)
+        return TrajectoryRecord.from_steps(self.macro0, self.last_steps)
 
 
 @dataclass

@@ -9,7 +9,7 @@ reaction-diffusion model.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class Schedule:
     def dt(self) -> float:
         return self.T_end / self.N_l
 
-    @property
-    def dT(self) -> float:
-        """Nominal coarse step T_end / P."""
-        return self.T_end / self.P
-
     def interval_steps(self) -> list:
         """Fine steps per coarse interval (first N_l mod P get the extra one)."""
         q, r = divmod(self.N_l, self.P)
@@ -91,10 +86,12 @@ def _gamma_scalar(gamma_bar) -> float:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-macro-step history of a two-scale run.
+    """Per-macro-step scalar history of a two-scale run.
 
-    Index n holds the state after n fine steps; gamma_scalar[n] and cycles[n]
-    describe the micro problem that produced step n (NaN and 0 at n=0).
+    Index n describes the state after n fine steps; gamma_scalar[n] and
+    cycles[n] describe the micro problem that produced step n (NaN and 0
+    at n=0).  The record keeps no states: a caller that needs a field at
+    some step advances to it with ``advance_two_scale``.
     """
 
     model: str
@@ -103,9 +100,7 @@ class TrajectoryRecord:
     gamma_scalar: np.ndarray
     width: np.ndarray
     cycles: np.ndarray
-    states: list
     means: np.ndarray | None = None
-    final_micro: microflow.MicroState = field(default_factory=microflow.MicroState)
 
     def __len__(self):
         return len(self.t)
@@ -115,7 +110,7 @@ class TrajectoryRecord:
         return float(self.functionals[-1])
 
     @classmethod
-    def from_steps(cls, state0, steps, final_micro) -> "TrajectoryRecord":
+    def from_steps(cls, state0, steps) -> "TrajectoryRecord":
         """Record of state0 followed by the (state, GrowthSample) pairs of steps."""
         states = [state0] + [state for state, _ in steps]
         samples = [sample for _, sample in steps]
@@ -126,10 +121,8 @@ class TrajectoryRecord:
             gamma_scalar=np.array([np.nan] + [_gamma_scalar(s.gamma_bar) for s in samples]),
             width=np.array([channel_width(s) for s in states]),
             cycles=np.array([0] + [s.cycles_used for s in samples], dtype=int),
-            states=states,
             means=(np.array([growth.interface_mean(s) for s in states])
                    if state0.model == "pde" else None),
-            final_micro=final_micro,
         )
 
 
@@ -166,11 +159,11 @@ def run_serial(schedule: Schedule, growth_params: growth.GrowthParams,
     state of the previous one; the ledger counts exactly N_l micro
     problems.
     """
-    _, micro, steps = advance_two_scale(
+    _, _, steps = advance_two_scale(
         macro0, micro0, schedule.N_l, schedule.dt, growth_params, micro_params,
         ledger=ledger, process=0,
     )
-    return TrajectoryRecord.from_steps(macro0, steps, micro)
+    return TrajectoryRecord.from_steps(macro0, steps)
 
 
 def run_coarse_step(macro, micro, dT: float, mode: str,

@@ -191,8 +191,9 @@ def test_one_step_dense_oracle_nonzero_state():
 @pytest.mark.parametrize("nx, ny", [(5, 3), (21, 3), (7, 12), (16, 5), (101, 11)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_banded_step_matches_sparse_and_dense_references(nx, ny, sign):
-    # the sparse reference solves the band system imex_system returns with
-    # scipy's sparse LU, which pins the band-storage layout it documents
+    # the sparse reference solves the band matrix of the LU fallback and the
+    # right-hand side of imex_system in the fallback's x-outer numbering with
+    # scipy's sparse LU, which pins the band-storage layout _imex_band documents
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -206,7 +207,8 @@ def test_banded_step_matches_sparse_and_dense_references(nx, ny, sign):
     p = GrowthParams(alpha=5e-8, D_s=2e-3, R_s=1e-4, theta=0.7, reaction_sign=sign)
     dt = 500.0
     new = macro_step_pde(state, gb, dt, p, forcing=f)
-    ab, b = imex_system(state, gb, dt, p, forcing=f)
+    ab = growth._imex_band(state, dt, p)
+    b = imex_system(state, gb, dt, p, forcing=f).T.ravel()
     nyi = ny - 1
     A = sp.dia_matrix((ab, nyi - np.arange(2 * nyi + 1)), shape=(b.size, b.size))
     sparse_ref = np.zeros((ny, nx))
@@ -353,7 +355,7 @@ def test_theta_one_reduces_to_backward_euler_linearization():
     p1 = GrowthParams(alpha=1e-7, D_s=1e-3, R_s=0.3, theta=1.0, reaction_sign=1)
     state = FieldState(g, c0)
     dt = 2.0
-    ab, _ = imex_system(state, np.zeros(g.nx), dt, p1)
+    ab = growth._imex_band(state, dt, p1)
     # x-outer numbering: unknown (i-1)(ny-1) + j-1 holds node (i, j)
     c_old = c0[1:, 1:-1].T.ravel()
     ref = (1.0 / dt + 2.0 * p1.D_s * (1.0 / g.hx**2 + 1.0 / g.hy**2)

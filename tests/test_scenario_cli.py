@@ -263,11 +263,21 @@ def test_cli_presets_command(tmp_path):
                                        {"lambda_relax": math.nan},
                                        {"alpha": math.nan},
                                        {"h_min": math.inf},
-                                       {"eps_p": 0.0}, {"max_cycles": 1}])
+                                       {"eps_p": 0.0}, {"max_cycles": 1},
+                                       # sweep flags, checked by the cost formulas
+                                       {"--kpar": "0"}, {"--P": "1001"}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
+    flags = {k: v for k, v in overrides.items() if k.startswith("--")}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**preset("ode_paper").to_dict(), **overrides}))
-    assert main(["run", "--scenario", str(path)]) == 2
+    path.write_text(json.dumps({**preset("ode_paper").to_dict(),
+                                **{k: v for k, v in overrides.items() if k not in flags}}))
+    if flags:
+        argv = ["sweep", "--scenario", str(path), "--formula-only", "--out", str(tmp_path)]
+        for flag, value in {"--P": "10", "--kpar": "3", **flags}.items():
+            argv += [flag, value]
+    else:
+        argv = ["run", "--scenario", str(path)]
+    assert main(argv) == 2
     assert "configuration error:" in capsys.readouterr().err
 
 

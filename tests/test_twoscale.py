@@ -8,8 +8,9 @@ from plaquepar.costs import CostLedger, CostModelParams
 from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
-from plaquepar.twoscale import (DAY, Schedule, advance_two_scale, channel_width,
-                                run_coarse_step, run_serial, trajectory_to_csv)
+from plaquepar.twoscale import (DAY, Schedule, TrajectoryRecord, advance_two_scale,
+                                channel_width, run_coarse_step, run_serial,
+                                trajectory_to_csv)
 
 GP = GrowthParams()
 MP = MicroParams()
@@ -25,7 +26,6 @@ def ode_run(t_end_days, n_l, ledger=None, gp=GP):
 def test_schedule_grids():
     s = Schedule(300 * DAY, 1000, 30)
     assert s.dt == pytest.approx(0.3 * DAY)
-    assert s.dT == pytest.approx(10 * DAY)
     steps = s.interval_steps()
     assert sum(steps) == 1000
     assert max(steps) == 34  # ceil(1000/30)
@@ -109,10 +109,22 @@ def test_reference_run_counts_thousand_micro_problems():
 
 def test_serial_deterministic():
     a = ode_run(30, 60)
-    b = ode_run(30, 60)
-    assert np.array_equal(a.functionals, b.functionals)
-    assert np.array_equal(a.gamma_scalar[1:], b.gamma_scalar[1:])
-    assert a.final_micro.q == b.final_micro.q
+    dt = Schedule(30 * DAY, 60).dt
+    end_micro = []
+    # one run, a repeat, and the same 60 steps as chained advance_two_scale
+    # calls carrying the micro state along (as demo 04 reads its profiles)
+    for chunks in ((60,), (60,), (20, 15, 25)):
+        macro, micro, steps = ScalarState(0.0), MicroState(0.0), []
+        for n in chunks:
+            macro, micro, more = advance_two_scale(macro, micro, n, dt, GP, MP)
+            steps += more
+        b = TrajectoryRecord.from_steps(ScalarState(0.0), steps)
+        assert np.array_equal(a.t, b.t)
+        assert np.array_equal(a.functionals, b.functionals)
+        assert np.array_equal(a.gamma_scalar[1:], b.gamma_scalar[1:])
+        assert np.array_equal(a.cycles, b.cycles)
+        end_micro.append(micro.q)
+    assert end_micro[0] == end_micro[1] == end_micro[2]
 
 
 def test_concentration_monotone_width_shrinks():
@@ -182,10 +194,12 @@ def test_coincident_grids_match_serial_step():
     # dT = dt reproduces one run_serial step bit for bit
     sched = Schedule(0.3 * DAY, 1, 1)
     rec = run_serial(sched, GP, MP, ScalarState(0.0), MicroState(0.0))
+    _, fine_micro, _ = advance_two_scale(ScalarState(0.0), MicroState(0.0), 1, sched.dt,
+                                         GP, MP)
     macro, micro, _ = run_coarse_step(ScalarState(0.0), MicroState(0.0),
                                       sched.dt, "two_scale", GP, MP)
     assert macro.c_s == rec.functionals[1]
-    assert micro.q == rec.final_micro.q
+    assert micro.q == fine_micro.q
 
 
 def test_unknown_coarse_mode():
