@@ -33,6 +33,7 @@ from .errors import GridAlignmentError
 __all__ = [
     "GrowthParams",
     "SolidGrid",
+    "check_grid",
     "ScalarState",
     "FieldState",
     "gamma_ode",
@@ -90,18 +91,26 @@ class SolidGrid:
     """
 
     def __init__(self, nx: int = 101, ny: int = 11):
-        # ny >= 3 keeps an interior row between the Dirichlet row and the
-        # interface, which the ghost elimination couples to
-        if nx < 3 or ny < 3:
-            raise ValueError(f"grid needs nx >= 3 and ny >= 3, got {nx} x {ny}")
         self.nx = nx
         self.ny = ny
-        self.x = np.linspace(-5.0, 5.0, nx)
+        self.x = _interface_nodes(nx, ny)
         self.y = np.linspace(-2.0, -1.0, ny)
         self.hx = 10.0 / (nx - 1)
         self.hy = 1.0 / (ny - 1)
-        # delta_weight(x) on the interface nodes, read by every growth evaluation
+        # index of the node x = 0, read by every functional(); None for even nx
+        try:
+            self._midpoint = _midpoint_node(self.x)
+        except GridAlignmentError:
+            self._midpoint = None
+        # delta_weight(x) on the interface nodes; growth vanishes where the
+        # weight does, so every growth evaluation reads only the contiguous
+        # run of non-zero weights around x = 0 (empty when no node lies in
+        # (-1, 1))
         self.weight = delta_weight(self.x)
+        nonzero = np.flatnonzero(self.weight)
+        self.support = (slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size
+                        else slice(0, 0))
+        self.support_weight = self.weight[self.support]
         # eigenbases of the negated 1-D Laplacians on the unknown nodes, read by
         # every fast IMEX solve: -Lx = Sx diag(x_eigenvalues) Sx in the
         # orthonormal sine basis Sx (symmetric, its own inverse), and
@@ -114,17 +123,40 @@ class SolidGrid:
         self.sine_basis = sines[np.outer(k, k) % (2 * nxi + 2)]
         self.y_eigenvalues, self.y_basis, self.y_basis_inv = _ghost_row_eigenbasis(ny - 1,
                                                                                    self.hy)
-        for name in ("weight", "x_eigenvalues", "sine_basis", "y_eigenvalues", "y_basis",
-                     "y_basis_inv"):
+        for name in ("x", "weight", "support_weight", "x_eigenvalues", "sine_basis",
+                     "y_eigenvalues", "y_basis", "y_basis_inv"):
             getattr(self, name).flags.writeable = False
 
     def midpoint_index(self) -> int:
-        i = int(np.argmin(np.abs(self.x)))
-        if abs(self.x[i]) > 1e-12:
-            raise GridAlignmentError(
-                f"grid has no node at x=0 (closest: {self.x[i]:g}); use odd nx"
-            )
-        return i
+        """Index of the interface node at x = 0; GridAlignmentError when there is none."""
+        # without one, searching again raises the error that names the closest node
+        return _midpoint_node(self.x) if self._midpoint is None else self._midpoint
+
+
+def _interface_nodes(nx: int, ny: int) -> np.ndarray:
+    """The x nodes of an nx x ny grid; ValueError when the grid is too small."""
+    # ny >= 3 keeps an interior row between the Dirichlet row and the
+    # interface, which the ghost elimination couples to
+    if nx < 3 or ny < 3:
+        raise ValueError(f"grid needs nx >= 3 and ny >= 3, got {nx} x {ny}")
+    return np.linspace(-5.0, 5.0, nx)
+
+
+def _midpoint_node(x: np.ndarray) -> int:
+    """Index of the node at x = 0 of the nodes x; GridAlignmentError when there is none."""
+    i = int(np.argmin(np.abs(x)))
+    if abs(x[i]) > 1e-12:
+        raise GridAlignmentError(f"grid has no node at x=0 (closest: {x[i]:g}); use odd nx")
+    return i
+
+
+def check_grid(nx: int, ny: int):
+    """Raise what ``SolidGrid(nx, ny).midpoint_index()`` raises, from the x nodes alone.
+
+    ValueError when the grid is too small, GridAlignmentError when no
+    node lies at x = 0 (even nx); builds none of the grid's eigenbases.
+    """
+    _midpoint_node(_interface_nodes(nx, ny))
 
 
 def _ghost_row_eigenbasis(n: int, h: float):
@@ -180,13 +212,21 @@ class ScalarState:
         """Channel half-width law of the surrogate, h = 1 - c_s (uniform)."""
         return 1.0 - self.c_s
 
-    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> float:
-        """Growth rate averaged over the leading (sample) axis of the array wss."""
+    def on_support(self, values: float) -> float:
+        """The values where growth is evaluated: all of them, as this model has one node."""
+        return values
+
+    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> float | list:
+        """Growth rate averaged over the last (sample) axis of the array wss.
+
+        Returns a float for samples of shape (N_s,), and a list with one
+        float per cycle for a block of shape (k, N_s).
+        """
         if wss.min() < 0:  # c_s >= 0 holds since construction
             raise ValueError("wall shear stress norm must be non-negative")
         gamma = _gamma_ode(wss, self.c_s, p)
         # the sum and division of np.mean, without its per-call dispatch
-        return float(gamma.sum(axis=0) / gamma.shape[0])
+        return (gamma.sum(axis=-1) / gamma.shape[-1]).tolist()
 
     def growth_change(self, new: float, old: float) -> float:
         """Distance |new - old| of two growth values of this model."""
@@ -250,11 +290,35 @@ class FieldState:
         """Channel half-width law h(x) = 1 - c(x), one value per interface node."""
         return 1.0 - self.interface
 
-    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> np.ndarray:
-        """Interface growth flux averaged over the leading (sample) axis of the array wss."""
-        if wss.min() < 0:
+    def on_support(self, values: np.ndarray) -> np.ndarray:
+        """The entries of a per-node array (nodes on the last axis) on the damage support."""
+        return values[..., self.grid.support]
+
+    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> np.ndarray | list:
+        """Interface growth flux averaged over the sample axis of the array wss.
+
+        wss holds the wall shear stress on the grid's damage support
+        (last axis, see ``on_support``) at each sample (the axis before
+        it).  Returns one flux per interface node, exact zeros off the
+        support, which is what the full-width mean gives there: an (nx,)
+        array for samples of shape (N_s, m), and a list with one such
+        array per cycle for a block of shape (k, N_s, m).
+        """
+        grid = self.grid
+        if wss.shape[-1] != grid.support_weight.size:
+            raise ValueError(f"wss must hold one value per support node "
+                             f"({grid.support_weight.size}), got shape {wss.shape}")
+        if wss.min(initial=0.0) < 0:  # an empty support has no samples
             raise ValueError("wall shear stress must be non-negative")
-        return _gamma_pde(wss, self.grid.weight, p).mean(axis=0)
+        g = _gamma_pde(wss, grid.support_weight, p)
+        # numpy sums a sample axis with more than one node beside it in
+        # sample order, as the full-width mean does, but a single node's
+        # samples pairwise, which cumsum avoids
+        total = g.sum(axis=-2) if g.shape[-1] != 1 else g.cumsum(axis=-2)[..., -1, :]
+        gamma = np.zeros(total.shape[:-1] + (grid.nx,))
+        gamma[..., grid.support] = total / g.shape[-2]
+        # an array of its own per cycle, so that a kept value keeps no other
+        return gamma if gamma.ndim == 1 else [row.copy() for row in gamma]
 
     def growth_change(self, new: np.ndarray, old: np.ndarray) -> float:
         """Largest nodewise distance |new - old| of two growth values of this model."""
@@ -480,7 +544,7 @@ def _banded_imex_solve(state: FieldState, b: np.ndarray, dt: float,
 
 def interface_midpoint(state: FieldState) -> float:
     """Concentration at the center of the interface (node x=0, y=-1)."""
-    return float(state.interface[state.grid.midpoint_index()])
+    return float(state.c[-1, state.grid.midpoint_index()])
 
 
 def interface_mean(state: FieldState) -> float:

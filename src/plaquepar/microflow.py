@@ -24,7 +24,8 @@ to gamma_bar / alpha, which makes the tolerance scale-free).
 Everything of a cycle that does not depend on the state (the orbit at
 the sample times, the decay factors and the WSS prefactor) is
 computed once per ``MicroParams`` instance and kept on it read-only, so
-one cycle is a handful of array operations.
+one cycle is a handful of array operations.  The two cycles that every
+micro problem runs go through those operations as one array block.
 """
 
 import math
@@ -57,6 +58,8 @@ class _CycleData(NamedTuple):
     orbit0: float       # periodic_orbit(0)
     orbit: np.ndarray   # periodic_orbit(tau)
     decay: np.ndarray   # exp(-lambda_relax * tau)
+    orbit_end: float    # orbit[-1]
+    decay_end: float    # decay[-1]
     wss_factor: float   # c_geo * 2 rho_f nu_f, as wall_shear_stress groups it
 
 
@@ -105,10 +108,13 @@ class MicroParams:
                 f"delta_tau={self.delta_tau} must divide the period {self.period} exactly"
             )
         tau = self.delta_tau * np.arange(1, self.n_steps + 1)
+        orbit, decay = periodic_orbit(tau, self), np.exp(-self.lambda_relax * tau)
         cycle = _CycleData(
             orbit0=float(periodic_orbit(0.0, self)),
-            orbit=periodic_orbit(tau, self),
-            decay=np.exp(-self.lambda_relax * tau),
+            orbit=orbit,
+            decay=decay,
+            orbit_end=float(orbit[-1]),
+            decay_end=float(decay[-1]),
             wss_factor=self.c_geo * 2.0 * self.rho_f * self.nu_f,
         )
         for array in (cycle.orbit, cycle.decay):
@@ -191,14 +197,14 @@ def wall_shear_stress(q, h_local, params: MicroParams):
 
 def _check_open(h, params: MicroParams):
     """Raise ChannelClosureError unless h > h_min (> 0) everywhere; h is a float or an array."""
-    h_low = h if isinstance(h, float) else np.min(h)
+    h_low = h if isinstance(h, float) else np.min(h, initial=math.inf)
     if h_low <= params.h_min:
         raise ChannelClosureError(
             f"channel half-width {h_low:g} cm at or below h_min={params.h_min:g} cm"
         )
 
 
-def advance_cycle(w0: MicroState, h, params: MicroParams):
+def advance_cycle(w0: MicroState, h, params: MicroParams, cycles: int | None = None):
     """Integrate one period and return (final state, per-step WSS values).
 
     The trajectory is sampled at tau_m = m * delta_tau, m = 1..N_s.  For
@@ -206,30 +212,57 @@ def advance_cycle(w0: MicroState, h, params: MicroParams):
     of length n it has shape (N_s, n).  The values equal those of
     ``periodic_orbit`` and ``wall_shear_stress`` bit for bit; the
     returned WSS array is the caller's own.
+
+    With ``cycles=k`` it integrates k consecutive periods from w0 as one
+    array block and returns (the k end states, WSS values of shape
+    (k, N_s) or (k, N_s, n)).  Each period starts from the end value of
+    the one before, computed with the same expression, so row r equals
+    the r-th of k one-period calls bit for bit.
     """
     if not isinstance(h, float):
         h = np.asarray(h, dtype=float)
         if h.ndim == 0:
             h = float(h)
+    if cycles is not None and cycles < 1:
+        raise ValueError(f"cycles must be at least 1, got {cycles}")
     _check_open(h, params)  # also guarantees h > 0 for the division below
     cycle = params._cycle
-    q_traj = cycle.orbit + (w0.q - cycle.orbit0) * cycle.decay
+    # each period's deviation from the orbit at its start, and its end state:
+    # the last sample of q_traj below, computed with the same float operations
+    deviations, ends, q = [], [], w0.q
+    for _ in range(1 if cycles is None else cycles):
+        deviations.append(q - cycle.orbit0)
+        q = cycle.orbit_end + deviations[-1] * cycle.decay_end
+        ends.append(MicroState(q))
+    deviation = deviations[0] if cycles is None else np.array(deviations)[:, None]
+    q_traj = cycle.orbit + deviation * cycle.decay
     if isinstance(h, float):
         wss = cycle.wss_factor * q_traj / (h * h)
     else:
-        wss = cycle.wss_factor * q_traj[:, None] / (h * h)
-    return MicroState(float(q_traj[-1])), wss
+        wss = cycle.wss_factor * q_traj[..., None] / (h * h)
+    return (ends[0] if cycles is None else tuple(ends)), wss
+
+
+def _growth_half_width(macro_state, params: MicroParams):
+    """The half-width on the damage support, after the closure check on the full interface."""
+    h = macro_state.half_width()
+    _check_open(h, params)
+    return macro_state.on_support(h)
 
 
 def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
                         growth_params: growth.GrowthParams):
     """Cycle until the averaged growth value stabilizes.
 
-    Runs :func:`advance_cycle` repeatedly (at least twice, since the
-    criterion compares consecutive averages) and stops once
+    The criterion compares consecutive averages, so the first two cycles
+    always run: they run as one block of :func:`advance_cycle` (called
+    through the module global, so a wrapper set on it sees the block),
+    averaged in one pass.  Each further cycle is one more call, until
 
         max |gamma_bar^r - gamma_bar^{r-1}| / alpha < params.eps_p.
 
+    The closure check runs once, on the full interface; the cycles
+    evaluate WSS and growth on the damage support only (``on_support``).
     Returns (GrowthSample, final MicroState); the final state serves as
     warm start for the next macro step.  The callers count the micro
     problem (``cycles_used`` cycles of ``params.n_steps`` steps each).
@@ -237,25 +270,19 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
     Raises MicroNonConvergenceError when params.max_cycles is exhausted
     and ChannelClosureError when the channel is too narrow.
     """
-    h = macro_state.half_width()
+    h = _growth_half_width(macro_state, params)
     scale = growth_params.alpha if growth_params.alpha > 0 else 1.0
-    state = w0
-    history = []
-    converged = False
-    for _ in range(params.max_cycles):
+    states, wss = advance_cycle(w0, h, params, cycles=2)
+    history = macro_state.average_growth(wss, growth_params)  # one value per cycle
+    state = states[-1]
+    while not macro_state.growth_change(history[-1], history[-2]) / scale < params.eps_p:
+        if len(history) == params.max_cycles:
+            raise MicroNonConvergenceError(
+                f"averaged growth value did not stabilize within {params.max_cycles} cycles "
+                f"(lambda_relax={params.lambda_relax:g})"
+            )
         state, wss = advance_cycle(state, h, params)
         history.append(macro_state.average_growth(wss, growth_params))
-        if len(history) < 2:
-            continue  # gamma_bar^0 is undefined; always run a second cycle
-        delta = macro_state.growth_change(history[-1], history[-2])
-        if delta / scale < params.eps_p:
-            converged = True
-            break
-    if not converged:
-        raise MicroNonConvergenceError(
-            f"averaged growth value did not stabilize within {params.max_cycles} cycles "
-            f"(lambda_relax={params.lambda_relax:g})"
-        )
     return GrowthSample(history[-1], len(history), tuple(history)), state
 
 
@@ -268,9 +295,7 @@ def solve_stationary_surrogate(macro_state, params: MicroParams,
     Costs no micro problem (the stationary solve is treated as free,
     roughly a factor 100 cheaper than a resolved cycle).
     """
-    h = macro_state.half_width()
-    _check_open(h, params)
-    q_stat = params.mean_inflow
-    wss = wall_shear_stress(q_stat, h, params)
+    h = _growth_half_width(macro_state, params)
+    wss = wall_shear_stress(params.mean_inflow, h, params)
     # one stationary sample: the average over it is the sample itself
     return GrowthSample(macro_state.average_growth(wss[np.newaxis], growth_params), 0)

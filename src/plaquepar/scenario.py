@@ -103,7 +103,7 @@ class Scenario:
             self.micro_params()
             self.schedule()
             if self.model == "pde":
-                growth.SolidGrid(self.nx, self.ny).midpoint_index()
+                growth.check_grid(self.nx, self.ny)
         except ConfigError:
             raise
         except ValueError as exc:

@@ -121,6 +121,8 @@ def test_grid_midpoint_missing():
     g = SolidGrid(10, 3)  # even nx: no x=0 node
     with pytest.raises(GridAlignmentError):
         g.midpoint_index()
+    with pytest.raises(GridAlignmentError):
+        FieldState.zero(g).functional()
 
 
 def test_field_state_validation():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import plaquepar
-
+from plaquepar import growth
 from plaquepar.cli import main, run_scenario
 from plaquepar.errors import ConfigError
 from plaquepar.scenario import PRESETS, Scenario, parse_scenario, preset
@@ -279,6 +279,20 @@ def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides
         argv = ["run", "--scenario", str(path)]
     assert main(argv) == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nx, ny", [(100, 11), (101, 2)])
+def test_grid_check_builds_no_grid_and_keeps_the_grid_message(monkeypatch, nx, ny):
+    with pytest.raises(ValueError) as built:
+        growth.SolidGrid(nx, ny).midpoint_index()
+
+    def no_grid(*args):
+        raise AssertionError("the scenario check built a grid")
+    monkeypatch.setattr(growth, "SolidGrid", no_grid)
+    with pytest.raises(ConfigError) as parsed:
+        preset("pde_paper", nx=nx, ny=ny)
+    assert str(parsed.value) == str(built.value)
+    preset("pde_paper")
 
 
 def assert_run_leaves_scipy_unloaded(path):
