@@ -19,8 +19,7 @@ def footer(count_fn, ks):
         s, e = speedup_efficiency(mp, N_L, P)
         cols.append({"P": P, "errors": [], "mp": mp, "speedup": round(s, 2),
                      "efficiency": e})
-    return format_sweep_table(cols, reference={"# mp": N_L, "speedup": 1.0,
-                                               "efficiency": 1.0})
+    return format_sweep_table(cols, N_L)
 
 
 print("standard parareal, fine-endpoint stopping (k_par = 4,3,3,3,3):")

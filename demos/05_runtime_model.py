@@ -4,10 +4,10 @@ The estimated parallel runtime is the serial (master/coarse) time plus
 the maximum time over the fine processes.  Fed with the published
 measured master/slave times it reproduces the published totals; fed with
 a live ledger it prices micro time steps at one unit each and
-growth-model solves at t_rd.
+growth-model solves at T_RD = 0.01 units (``plaquepar.costs``).
 """
 
-from plaquepar import (DAY, CostModelParams, MicroState, ScalarState, Schedule,
+from plaquepar import (DAY, MicroState, ScalarState, Schedule,
                        estimate_parallel_runtime, preset)
 from plaquepar.parareal import run
 
@@ -37,10 +37,9 @@ print("synthetic model on a live run (one unit per micro time step, "
 for mode in ("standard", "reusage"):
     rep = run(Schedule(30 * DAY, 100, 10), gp, mp,
               ScalarState(0.0), MicroState(0.0), mode=mode, eps_par=1e-3)
-    params = CostModelParams()
     led = rep.ledger
-    print(f"  {mode:8s}: coarse {led.synthetic_time_coarse(params):8.1f} + "
-          f"slowest process {led.synthetic_time_fine_max(params):7.1f} = "
+    print(f"  {mode:8s}: coarse {led.synthetic_time_coarse():8.1f} + "
+          f"slowest process {led.synthetic_time_fine_max():7.1f} = "
           f"{rep.estimated_runtime:8.1f} units (k_par={rep.k_par})")
 print()
 print("The growth-model solves contribute almost nothing; the coarse-level")

@@ -9,7 +9,7 @@ parallel-runtime model.
 """
 
 from . import costs, growth, microflow, parareal, scenario, twoscale
-from .costs import (CostLedger, CostModelParams, count_heuristic,
+from .costs import (CostLedger, count_heuristic,
                     count_reusage, count_rd_reusage, count_standard,
                     estimate_parallel_runtime, optimal_processes, ratio_bound,
                     speedup_efficiency)

@@ -8,6 +8,7 @@ footer-only from the closed-form cost model via --formula-only);
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,23 +17,37 @@ from pathlib import Path
 from . import costs, parareal, twoscale
 from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
                      PararealNonConvergenceError)
-from .scenario import PRESETS, Scenario, parse_scenario, preset
+from .scenario import MODES, PRESETS, STOPPING, Scenario, parse_scenario, preset
 
 # scenario mode -> engine mode
 _ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
                 "heuristic": "heuristic"}
+# command-line flag -> scenario field it overrides
+_FLAG_FIELDS = {"mode": "mode", "P": "P", "stopping": "stopping", "threads": "threads",
+                "out": "out_dir"}
+# closed-form micro-problem count of each parareal scenario mode
+_MICRO_COUNT = {"parareal": costs.count_standard, "reusage": costs.count_reusage,
+                "heuristic": costs.count_heuristic}
+# the run failures that exit 1 (a sweep reports them per column)
+_RUN_ERRORS = (PararealNonConvergenceError, MicroNonConvergenceError, ChannelClosureError)
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    data = scn.to_dict()
-    for key, attr in (("mode", "mode"), ("stopping", "stopping"),
-                      ("threads", "threads"), ("out", "out_dir")):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[attr] = value
-    if getattr(args, "P", None) is not None:
-        data["P"] = args.P
-    return Scenario.from_dict(data)
+def _scenario(args, **fields) -> Scenario:
+    """The --scenario source with the flags given, then ``fields``, applied."""
+    data = parse_scenario(args.scenario).to_dict()
+    for flag, field in _FLAG_FIELDS.items():
+        if getattr(args, flag, None) is not None:
+            data[field] = getattr(args, flag)
+    return Scenario.from_dict({**data, **fields})
+
+
+def _run(scn: Scenario, reference=None) -> parareal.PararealReport:
+    """Run one scenario; serial scenarios have P = 1, which parareal.run runs serially."""
+    return parareal.run(
+        scn.schedule(), scn.growth_params(), scn.micro_params(), *scn.initial_states(),
+        mode=_ENGINE_MODE[scn.mode], stopping=scn.stopping, eps_par=scn.eps_par,
+        max_iters=scn.max_iters, reference=reference,
+    )
 
 
 def _column(report: parareal.PararealReport) -> dict:
@@ -50,17 +65,8 @@ def _column(report: parareal.PararealReport) -> dict:
 
 def run_scenario(scn: Scenario):
     """Execute one scenario; returns (report dict, trajectory, table text)."""
-    schedule = scn.schedule()
-    gp, mp = scn.growth_params(), scn.micro_params()
-    macro0, micro0 = scn.initial_states()
-    # serial scenarios have P = 1, which parareal.run runs as the serial path
-    report = parareal.run(
-        schedule, gp, mp, macro0, micro0, mode=_ENGINE_MODE[scn.mode],
-        stopping=scn.stopping, eps_par=scn.eps_par, max_iters=scn.max_iters,
-    )
-    table = costs.format_sweep_table(
-        [_column(report)], reference={"# mp": report.N_l, "speedup": 1.0, "efficiency": 1.0},
-    )
+    report = _run(scn)
+    table = costs.format_sweep_table([_column(report)], report.N_l)
     return report.to_dict(), report.trajectory, table
 
 
@@ -74,12 +80,11 @@ def _write_outputs(out_dir: Path, report_dict: dict, trajectory, table: str,
         f.write("\n")
     if trajectory is not None:
         twoscale.trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
-    with open(out_dir / "table.txt", "w", encoding="utf-8") as f:
-        f.write(table)
+    (out_dir / "table.txt").write_text(table, encoding="utf-8")
 
 
 def _cmd_run(args) -> int:
-    scn = _apply_overrides(parse_scenario(args.scenario), args)
+    scn = _scenario(args)
     t0 = time.perf_counter()
     report_dict, trajectory, table = run_scenario(scn)
     _write_outputs(Path(scn.out_dir), report_dict, trajectory, table,
@@ -99,76 +104,54 @@ def _parse_int_list(text: str, flag: str) -> list:
     return values
 
 
-def _cmd_sweep(args) -> int:
-    base = parse_scenario(args.scenario)
-    p_values = _parse_int_list(args.P, "--P")
-    data = base.to_dict()
-    if args.mode is not None:
-        data["mode"] = args.mode
-    if data["mode"] == "serial":
-        data["mode"] = "parareal"
-    if args.stopping is not None:
-        data["stopping"] = args.stopping
-    if args.threads is not None:
-        data["threads"] = args.threads
-    out_dir = Path(args.out if args.out is not None else data["out_dir"])
-
-    columns = []
-    failures = []
-    if args.formula_only:
-        if args.kpar is None:
-            raise ConfigError("--formula-only needs --kpar with one value per P")
-        k_values = _parse_int_list(args.kpar, "--kpar")
-        if len(k_values) != len(p_values):
-            raise ConfigError(
-                f"--kpar lists {len(k_values)} values for {len(p_values)} process counts"
-            )
-        count_fn = {"parareal": costs.count_standard, "reusage": costs.count_reusage,
-                    "heuristic": costs.count_heuristic}[data["mode"]]
-        n_l = Scenario.from_dict(data).N_l
-        for P, k in zip(p_values, k_values):
-            mp = count_fn(k, P, n_l)
-            speedup, eff = costs.speedup_efficiency(mp, n_l, P)
-            columns.append({"P": P, "errors": [], "mp": mp,
-                            "speedup": speedup, "efficiency": eff})
-    else:
-        scn0 = Scenario.from_dict({**data, "P": p_values[0]})
-        schedule = scn0.schedule()
-        macro0, micro0 = scn0.initial_states()
-        reference = twoscale.run_serial(
-            twoscale.Schedule(schedule.T_end, schedule.N_l, 1),
-            scn0.growth_params(), scn0.micro_params(), macro0, micro0,
+def _formula_columns(scenarios, kpar) -> list:
+    """Sweep columns from the closed-form counts, one --kpar value per scenario."""
+    if kpar is None:
+        raise ConfigError("--formula-only needs --kpar with one value per P")
+    k_values = _parse_int_list(kpar, "--kpar")
+    if len(k_values) != len(scenarios):
+        raise ConfigError(
+            f"--kpar lists {len(k_values)} values for {len(scenarios)} process counts"
         )
-        for P in p_values:
-            scn = Scenario.from_dict({**data, "P": P})
-            try:
-                report = parareal.run(
-                    scn.schedule(), scn.growth_params(), scn.micro_params(),
-                    *scn.initial_states(), mode=_ENGINE_MODE[scn.mode],
-                    stopping=scn.stopping, eps_par=scn.eps_par,
-                    max_iters=scn.max_iters, reference=reference,
-                )
-            except (PararealNonConvergenceError, ChannelClosureError,
-                    MicroNonConvergenceError) as exc:
-                failures.append((P, exc))
-                print(f"P={P}: FAILED ({exc})", file=sys.stderr)
-                continue
-            columns.append(_column(report))
+    columns = []
+    for scn, k in zip(scenarios, k_values):
+        mp = _MICRO_COUNT[scn.mode](k, scn.P, scn.N_l)
+        speedup, efficiency = costs.speedup_efficiency(mp, scn.N_l, scn.P)
+        columns.append({"P": scn.P, "errors": [], "mp": mp,
+                        "speedup": speedup, "efficiency": efficiency})
+    return columns
 
+
+def _cmd_sweep(args) -> int:
+    base = _scenario(args, P=1)  # every column sets its own P below
+    mode = "parareal" if base.mode == "serial" else base.mode
+    # build, and so validate, every column before anything runs
+    scenarios = [dataclasses.replace(base, mode=mode, P=P)
+                 for P in _parse_int_list(args.p_list, "--P")]
+    failed = False
+    if args.formula_only:
+        columns = _formula_columns(scenarios, args.kpar)
+    else:
+        # P = 1: the serial reference run that every column compares with
+        reference = twoscale.run_serial(base.schedule(), base.growth_params(),
+                                        base.micro_params(), *base.initial_states())
+        columns = []
+        for scn in scenarios:
+            try:
+                columns.append(_column(_run(scn, reference)))
+            except _RUN_ERRORS as exc:
+                failed = True
+                print(f"P={scn.P}: FAILED ({exc})", file=sys.stderr)
     if not columns:
         raise ConfigError("all sweep columns failed; nothing to report")
-    n_l = Scenario.from_dict(data).N_l
-    table = costs.format_sweep_table(
-        columns, reference={"# mp": n_l, "speedup": 1.0, "efficiency": 1.0},
-    )
+    table = costs.format_sweep_table(columns, base.N_l)
+    out_dir = Path(base.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "table.txt", "w", encoding="utf-8") as f:
-        f.write(table)
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8") as f:
-        f.write(costs.sweep_table_csv(columns))
+    (out_dir / "table.txt").write_text(table, encoding="utf-8")
+    (out_dir / "sweep.csv").write_text(costs.sweep_table_csv(columns), encoding="utf-8")
     print(table, end="")
     print(f"sweep written to {out_dir}/table.txt and {out_dir}/sweep.csv")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def _cmd_presets(args) -> int:
@@ -193,23 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one scenario")
     run_p.add_argument("--scenario", required=True,
                        help="scenario JSON path or preset name")
-    run_p.add_argument("--mode", choices=["serial", "parareal", "reusage", "heuristic"])
+    run_p.add_argument("--mode", choices=MODES)
     run_p.add_argument("--P", type=int, help="number of coarse intervals/processes")
     run_p.add_argument("--threads", type=int,
                        help="accepted (>= 1) and recorded in report.json's wall_clock; "
                             "fine sweeps run one after another, so it does not "
                             "change how a run executes")
-    run_p.add_argument("--stopping", choices=["fine", "coarse"])
+    run_p.add_argument("--stopping", choices=STOPPING)
     run_p.add_argument("--out", help="output directory")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run one scenario for several P")
     sweep_p.add_argument("--scenario", required=True)
-    sweep_p.add_argument("--P", required=True, help="comma-separated process counts")
-    sweep_p.add_argument("--mode", choices=["parareal", "reusage", "heuristic"])
+    sweep_p.add_argument("--P", required=True, dest="p_list", metavar="P",
+                         help="comma-separated process counts")
+    sweep_p.add_argument("--mode", choices=[m for m in MODES if m != "serial"])
     sweep_p.add_argument("--threads", type=int,
                          help="accepted (>= 1); it does not change how a run executes")
-    sweep_p.add_argument("--stopping", choices=["fine", "coarse"])
+    sweep_p.add_argument("--stopping", choices=STOPPING)
     sweep_p.add_argument("--out")
     sweep_p.add_argument("--formula-only", action="store_true",
                          help="emit the cost-model footer only, no live runs")
@@ -229,8 +213,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PararealNonConvergenceError, MicroNonConvergenceError,
-            ChannelClosureError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -12,22 +12,19 @@ coarse-level work in full:
     re-usage variant:   k * ceil(N_l/P) + P
     re-usage rd solves: k * (N_l + ceil(N_l/P)) + P
 
-The synthetic runtime model charges one unit per micro time step
-(N_s * cycles per micro problem) and t_rd per growth-model solve, and
-estimates the parallel runtime as coarse (serial master) time plus the
-maximum fine time over the processes.
+The synthetic runtime model charges FSI_STEP_COST (one unit) per micro
+time step (N_s * cycles per micro problem) and T_RD per growth-model
+solve, and estimates the parallel runtime as coarse (serial master) time
+plus the maximum fine time over the processes.
 """
 
 import math
 import threading
-import warnings
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
 __all__ = [
     "CostLedger",
-    "CostModelParams",
     "count_standard",
     "count_reusage",
     "count_heuristic",
@@ -99,30 +96,10 @@ def optimal_processes(N_l: int, mode: str = "standard", k: int | None = None) ->
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass
-class CostModelParams:
-    """Synthetic unit costs of the runtime model.
-
-    fsi_step_cost is charged per micro time step, so a micro problem
-    costs N_s * cycles * fsi_step_cost; t_rd is charged per growth-model
-    solve.
-    """
-
-    fsi_step_cost: float = 1.0
-    t_rd: float = 0.01
-
-    def __post_init__(self):
-        for name in ("fsi_step_cost", "t_rd"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-        per_micro = self.fsi_step_cost * 100
-        if per_micro < 10 * self.t_rd:
-            warnings.warn(
-                "cost model assumes micro problems dominate (per-micro cost >> t_rd); "
-                f"got per-micro {per_micro:g} vs t_rd {self.t_rd:g}",
-                stacklevel=2,
-            )
+# Synthetic unit costs: a micro problem of `cycles` cycles costs
+# N_s * cycles * FSI_STEP_COST, so it dominates T_RD by far.
+FSI_STEP_COST = 1.0
+T_RD = 0.01
 
 
 class CostLedger:
@@ -192,23 +169,16 @@ class CostLedger:
     def rd_serial_equivalent(self) -> int:
         return max(self.per_process_rd) + self.rd_coarse
 
-    def synthetic_time_fine_max(self, params: CostModelParams) -> float:
+    def synthetic_time_fine_max(self) -> float:
         """Largest per-process fine time under the synthetic cost model."""
-        return max(
-            self._fine_seconds(p, params) for p in range(self.n_processes)
-        )
+        return max(FSI_STEP_COST * steps + T_RD * rd
+                   for steps, rd in zip(self.per_process_fsi_steps, self.per_process_rd))
 
-    def synthetic_time_coarse(self, params: CostModelParams) -> float:
-        return (params.fsi_step_cost * self.fsi_steps_coarse
-                + params.t_rd * self.rd_coarse)
-
-    def _fine_seconds(self, p: int, params: CostModelParams) -> float:
-        return (params.fsi_step_cost * self.per_process_fsi_steps[p]
-                + params.t_rd * self.per_process_rd[p])
+    def synthetic_time_coarse(self) -> float:
+        return FSI_STEP_COST * self.fsi_steps_coarse + T_RD * self.rd_coarse
 
 
-def estimate_parallel_runtime(ledger: CostLedger | None = None,
-                              params: CostModelParams | None = None, *,
+def estimate_parallel_runtime(ledger: CostLedger | None = None, *,
                               coarse_seconds: float | None = None,
                               fine_max_seconds: float | None = None) -> float:
     """Estimated parallel runtime: serial coarse part + slowest fine process.
@@ -223,8 +193,7 @@ def estimate_parallel_runtime(ledger: CostLedger | None = None,
         return coarse_seconds + fine_max_seconds
     if ledger is None:
         raise ValueError("either a ledger or measured seconds are required")
-    params = params or CostModelParams()
-    return ledger.synthetic_time_coarse(params) + ledger.synthetic_time_fine_max(params)
+    return ledger.synthetic_time_coarse() + ledger.synthetic_time_fine_max()
 
 
 def _fmt(v):
@@ -258,17 +227,17 @@ def _sweep_rows(columns):
     return rows
 
 
-def format_sweep_table(columns, reference=None) -> str:
+def format_sweep_table(columns, n_l: int) -> str:
     """Aligned-text table over P: error rows per iteration, cost footer.
 
     ``columns`` is a list of dicts with keys P, errors (list per
     iteration), mp, speedup, efficiency and optionally runtime; the best
     footer entry per row is marked with ``*`` (the paper prints it
-    bold).  ``reference`` adds a serial reference column.
+    bold).  The last column is the serial reference of ``n_l`` micro
+    problems, speedup 1 and efficiency 1.
     """
-    header = ["k"] + [f"P={c['P']}" for c in columns]
-    if reference is not None:
-        header.append("ref. (serial)")
+    reference = {"# mp": n_l, "speedup": 1.0, "efficiency": 1.0}
+    header = ["k"] + [f"P={c['P']}" for c in columns] + ["ref. (serial)"]
     body = []
     for label, cells, best in _sweep_rows(columns):
         row = [label]
@@ -278,8 +247,7 @@ def format_sweep_table(columns, reference=None) -> str:
                 row.append(f"{100.0 * v:.0f}%" + mark)
             else:
                 row.append(_fmt(v) + mark)
-        if reference is not None:
-            row.append(_fmt(reference.get(label)))
+        row.append(_fmt(reference.get(label)))
         body.append(row)
     widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]

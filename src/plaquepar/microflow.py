@@ -67,9 +67,10 @@ class _CycleData(NamedTuple):
 class MicroParams:
     """Physical and numerical parameters of the surrogate micro problem.
 
-    rho_f in g/cm^3, nu_f in cm^2/s, lambda_relax in 1/s, delta_tau and
-    period in s; c_geo is the dimensionless calibration constant chosen
-    so that wss equals the flow amplitude at unit half-width
+    rho_f in g/cm^3, nu_f in cm^2/s, lambda_relax in 1/s, delta_tau in
+    s; one cycle is the inflow's 1-s period, so delta_tau must divide 1.
+    c_geo is the dimensionless calibration constant chosen so that wss
+    equals the flow amplitude at unit half-width
     (c_geo * 2 rho_f nu_f = 1 with the defaults).  inflow_offset is 0
     for the ODE example and 1 for the PDE example.  A micro problem
     cycles until consecutive averaged growth values agree to eps_p, for
@@ -84,14 +85,13 @@ class MicroParams:
     inflow_amplitude: float = 30.0
     inflow_offset: float = 0.0
     delta_tau: float = 0.02
-    period: float = 1.0
     h_min: float = 0.05
     eps_p: float = 1e-3
     max_cycles: int = 10
 
     def __post_init__(self):
         for name in ("rho_f", "nu_f", "c_geo", "inflow_amplitude", "delta_tau",
-                     "period", "h_min", "eps_p"):
+                     "h_min", "eps_p"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
@@ -102,11 +102,9 @@ class MicroParams:
             raise ValueError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
         if self.inflow_offset not in (0.0, 1.0, 0, 1):
             raise ValueError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
-        ns = self.period / self.delta_tau
-        if abs(ns - round(ns)) > 1e-9:
-            raise ValueError(
-                f"delta_tau={self.delta_tau} must divide the period {self.period} exactly"
-            )
+        ns = 1.0 / self.delta_tau  # inf for a subnormal delta_tau
+        if not (math.isfinite(ns) and abs(ns - round(ns)) <= 1e-9):
+            raise ValueError(f"delta_tau={self.delta_tau} must divide the 1-s period exactly")
         tau = self.delta_tau * np.arange(1, self.n_steps + 1)
         orbit, decay = periodic_orbit(tau, self), np.exp(-self.lambda_relax * tau)
         cycle = _CycleData(
@@ -123,8 +121,8 @@ class MicroParams:
 
     @property
     def n_steps(self) -> int:
-        """Micro steps per cycle, N_s = period / delta_tau."""
-        return int(round(self.period / self.delta_tau))
+        """Micro steps per cycle, N_s = 1 / delta_tau."""
+        return int(round(1.0 / self.delta_tau))
 
     @property
     def mean_inflow(self) -> float:

@@ -15,10 +15,10 @@ from . import growth, microflow
 from .errors import ConfigError
 from .twoscale import DAY, Schedule
 
-__all__ = ["Scenario", "parse_scenario", "preset", "PRESETS"]
+__all__ = ["Scenario", "parse_scenario", "preset", "PRESETS", "MODES", "STOPPING"]
 
-_MODES = ("serial", "parareal", "reusage", "heuristic")
-_STOPPING = ("fine", "coarse")
+MODES = ("serial", "parareal", "reusage", "heuristic")
+STOPPING = ("fine", "coarse")
 # accepted value types per field annotation; bool is rejected everywhere
 # (it is an int), and JSON writes whole-number floats such as 300 as int
 _ACCEPTS = {
@@ -79,14 +79,14 @@ class Scenario:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.model not in ("ode", "pde"):
             raise ConfigError(f"model must be 'ode' or 'pde', got {self.model!r}")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.stopping not in _STOPPING:
-            raise ConfigError(f"stopping must be one of {_STOPPING}, got {self.stopping!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.stopping not in STOPPING:
+            raise ConfigError(f"stopping must be one of {STOPPING}, got {self.stopping!r}")
         if self.dt_days <= 0 or self.T_end_days <= 0:
             raise ConfigError("T_end_days and dt_days must be positive")
-        n = self.T_end_days / self.dt_days
-        if abs(n - round(n)) > 1e-9:
+        n = self.T_end_days / self.dt_days  # inf when the ratio overflows
+        if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9):
             raise ConfigError(
                 f"dt_days={self.dt_days} must divide T_end_days={self.T_end_days}"
             )
@@ -117,17 +117,15 @@ class Scenario:
         return Schedule(self.T_end_days * DAY, self.N_l,
                         self.P if self.mode != "serial" else 1)
 
+    def _params(self, cls):
+        """An instance of the parameter type cls, filled from the fields of the same name."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def growth_params(self) -> growth.GrowthParams:
-        return growth.GrowthParams(self.alpha, self.sigma0, self.D_s, self.R_s,
-                                   self.theta, self.reaction_sign)
+        return self._params(growth.GrowthParams)
 
     def micro_params(self) -> microflow.MicroParams:
-        return microflow.MicroParams(
-            rho_f=self.rho_f, nu_f=self.nu_f, lambda_relax=self.lambda_relax,
-            c_geo=self.c_geo, inflow_amplitude=self.inflow_amplitude,
-            inflow_offset=self.inflow_offset, delta_tau=self.delta_tau,
-            h_min=self.h_min, eps_p=self.eps_p, max_cycles=self.max_cycles,
-        )
+        return self._params(microflow.MicroParams)
 
     def initial_states(self):
         """Zero concentration and resting flow, as in the paper's setups."""
@@ -166,7 +164,7 @@ def parse_scenario(source) -> Scenario:
     try:
         with open(name, encoding="utf-8") as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON files are UTF-8
         raise ConfigError(f"invalid JSON in {name}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"scenario file {name} must contain a JSON object")

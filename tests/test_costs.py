@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from plaquepar.costs import (CostLedger, CostModelParams, count_heuristic,
+from plaquepar.costs import (CostLedger, count_heuristic,
                              count_rd_reusage, count_reusage, count_standard,
                              estimate_parallel_runtime, format_sweep_table,
                              optimal_processes, ratio_bound,
@@ -129,8 +129,7 @@ def test_balanced_synthetic_runtime_identity():
             led.add_micro("coarse", cycles=2, n_steps=50)
     for _ in range(P):  # initialization sweep
         led.add_micro("coarse", cycles=2, n_steps=50)
-    params = CostModelParams()
-    est = estimate_parallel_runtime(led, params)
+    est = estimate_parallel_runtime(led)
     assert est == pytest.approx(100.0 * ((k + 1) * P + k * (n_l // P)))
 
 
@@ -138,20 +137,11 @@ def test_unit_step_cost_counts_cycles():
     led = CostLedger(1)
     led.add_micro("fine", cycles=3, n_steps=50, process=0)
     led.add_micro("coarse", cycles=2, n_steps=50)
-    params = CostModelParams()  # one unit per micro step, t_rd = 0.01
-    assert led.synthetic_time_fine_max(params) == 150.0
-    assert led.synthetic_time_coarse(params) == 100.0
-    assert estimate_parallel_runtime(led, params) == 250.0
-    assert estimate_parallel_runtime(CostLedger(1), params) == 0.0
-
-
-def test_cost_model_warns_when_rd_dominates():
-    with pytest.warns(UserWarning):
-        CostModelParams(fsi_step_cost=5e-4, t_rd=0.01)
-    for bad in ({"t_rd": -1.0}, {"t_rd": float("nan")}, {"fsi_step_cost": 0.0},
-                {"fsi_step_cost": float("nan")}):
-        with pytest.raises(ValueError):
-            CostModelParams(**bad)
+    # one unit per micro step
+    assert led.synthetic_time_fine_max() == 150.0
+    assert led.synthetic_time_coarse() == 100.0
+    assert estimate_parallel_runtime(led) == 250.0
+    assert estimate_parallel_runtime(CostLedger(1)) == 0.0
 
 
 # --- ledger -----------------------------------------------------------------------------
@@ -211,12 +201,16 @@ def _columns():
 
 
 def test_format_sweep_table_marks_best():
-    text = format_sweep_table(_columns(), reference={"# mp": 1000, "speedup": 1.0})
+    text = format_sweep_table(_columns(), 1000)
     assert "222*" in text       # lowest micro-problem count
     assert "4.5*" in text       # highest speedup
     assert "22%*" in text       # best efficiency
     assert "P=10" in text and "P=30" in text
-    assert "ref. (serial)" in text
+    lines = text.splitlines()
+    assert lines[0].endswith("ref. (serial)")
+    # the serial column comes from N_l: no errors, N_l micro problems, speedup
+    # and efficiency 1 (the efficiency cell reads 1, not 100%)
+    assert [line.split()[-1] for line in lines[2:]] == ["-", "-", "1000", "1", "1"]
 
 
 def test_sweep_table_csv_fields():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import plaquepar
-from plaquepar import growth
+from plaquepar import growth, parareal, twoscale
 from plaquepar.cli import main, run_scenario
 from plaquepar.errors import ConfigError
+from plaquepar.growth import GrowthParams
+from plaquepar.microflow import MicroParams
 from plaquepar.scenario import PRESETS, Scenario, parse_scenario, preset
 from plaquepar.twoscale import DAY
 
@@ -91,6 +94,19 @@ def test_micro_params_carry_the_periodicity_rule():
     assert (mp.eps_p, mp.max_cycles) == (1e-4, 12)
 
 
+@pytest.mark.parametrize("cls", [GrowthParams, MicroParams])
+def test_every_parameter_field_is_a_scenario_field(cls):
+    # growth_params() and micro_params() fill each field from the scenario field of that name
+    scenario_fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert {f.name for f in dataclasses.fields(cls)} <= scenario_fields
+
+
+def test_scenario_defaults_match_the_parameter_defaults():
+    # the defaults are written in both places; this keeps them equal
+    assert Scenario().growth_params() == GrowthParams()
+    assert Scenario().micro_params() == MicroParams()
+
+
 def test_round_trip(tmp_path):
     scn = preset("pde_paper", P=20, mode="reusage", threads=4)
     path = tmp_path / "scn.json"
@@ -113,6 +129,11 @@ def test_parse_scenario_bad_json(tmp_path):
     path2.write_text("[1,2]")
     with pytest.raises(ConfigError):
         parse_scenario(str(path2))
+    path3 = tmp_path / "utf16.json"
+    path3.write_bytes(b"\xff\xfe")  # not UTF-8
+    with pytest.raises(ConfigError):
+        parse_scenario(str(path3))
+    assert main(["run", "--scenario", str(path3)]) == 2
 
 
 def test_initial_states():
@@ -232,6 +253,22 @@ def test_cli_sweep_live(tmp_path):
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
+def test_cli_sweep_validates_every_column_before_running(tmp_path, monkeypatch, capsys):
+    scn = preset("ode_paper", T_end_days=9.0, dt_days=0.3, mode="parareal")
+    assert scn.N_l == 30
+    path = tmp_path / "scn.json"
+    scn.to_json(path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran before it validated every column")
+    monkeypatch.setattr(twoscale, "run_serial", no_run)
+    monkeypatch.setattr(parareal, "run", no_run)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--P", "3,5,31", "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_pde(tmp_path):
     scn = preset("pde_paper", T_end_days=6.0, dt_days=0.5, nx=21, ny=4,
                  mode="parareal", P=3, out_dir=str(tmp_path / "pde"))
@@ -264,8 +301,11 @@ def test_cli_presets_command(tmp_path):
                                        {"alpha": math.nan},
                                        {"h_min": math.inf},
                                        {"eps_p": 0.0}, {"max_cycles": 1},
-                                       # sweep flags, checked by the cost formulas
-                                       {"--kpar": "0"}, {"--P": "1001"}])
+                                       # sweep flags
+                                       {"--kpar": "0"}, {"--P": "1001"},
+                                       # ratios that overflow to infinity
+                                       {"T_end_days": 1e308, "dt_days": 1e-300},
+                                       {"delta_tau": 5e-324}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     flags = {k: v for k, v in overrides.items() if k.startswith("--")}
     path = tmp_path / "bad.json"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from plaquepar.costs import CostLedger, CostModelParams
+from plaquepar.costs import CostLedger
 from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
@@ -62,11 +62,9 @@ def test_schedule_rejects_non_integer_counts(field, value):
 @pytest.mark.parametrize("cls, field", [
     (Schedule, "T_end"),
     *[(MicroParams, name) for name in ("rho_f", "nu_f", "lambda_relax", "c_geo",
-                                       "inflow_amplitude", "delta_tau", "period",
-                                       "h_min", "eps_p")],
+                                       "inflow_amplitude", "delta_tau", "h_min",
+                                       "eps_p")],
     *[(GrowthParams, name) for name in ("alpha", "sigma0", "D_s", "R_s")],
-    (CostModelParams, "fsi_step_cost"),
-    (CostModelParams, "t_rd"),
 ])
 def test_parameter_types_reject_infinity(cls, field):
     args = {"T_end": 10.0, "N_l": 10} if cls is Schedule else {}
@@ -74,7 +72,7 @@ def test_parameter_types_reject_infinity(cls, field):
         cls(**{**args, field: math.inf})
 
 
-@pytest.mark.parametrize("field", [{"delta_tau": 0.01}, {"period": 2.0}])
+@pytest.mark.parametrize("field", [{"delta_tau": 0.01}])
 def test_micro_grid_comes_from_micro_params(field):
     mp = MicroParams(**field)
     led = CostLedger(1)
