@@ -78,8 +78,7 @@ def _write_outputs(out_dir: Path, report_dict: dict, trajectory, table: str,
     with open(out_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report_dict, f, indent=2)
         f.write("\n")
-    if trajectory is not None:
-        twoscale.trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
+    twoscale.trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
     (out_dir / "table.txt").write_text(table, encoding="utf-8")
 
 

@@ -183,15 +183,16 @@ class ScalarState:
     """Macro state of the ODE growth model: concentration c_s at time t (s).
 
     The two state classes are the one place that knows which growth
-    model runs: each carries its ``model`` name and the operations the
-    micro solver, the two-scale driver and the parareal engine apply to
-    it.  ``step`` calls ``macro_step_ode``/``macro_step_pde`` through the
-    module globals, so a wrapper set on those module attributes (as the
-    span tracer in ``perfbench`` does) sees every growth-model solve.
+    model runs: each names the trajectory ``columns`` its
+    ``observables`` fill and carries the operations the micro solver,
+    the two-scale driver and the parareal engine apply to it.  ``step``
+    calls ``macro_step_ode``/``macro_step_pde`` through the module
+    globals, so a wrapper set on those module attributes (as the span
+    tracer in ``perfbench`` does) sees every growth-model solve.
     Growth values of this model are Python floats.
     """
 
-    model: ClassVar[str] = "ode"
+    columns: ClassVar[tuple] = ("c_s",)
 
     c_s: float
     t: float = 0.0
@@ -207,6 +208,10 @@ class ScalarState:
     def functional(self) -> float:
         """Scalar observable: the concentration c_s."""
         return self.c_s
+
+    def observables(self) -> tuple:
+        """The trajectory values named by ``columns``: (c_s,)."""
+        return (self.c_s,)
 
     def half_width(self) -> float:
         """Channel half-width law of the surrogate, h = 1 - c_s (uniform)."""
@@ -245,7 +250,7 @@ class FieldState:
     arrays with one value per interface node.
     """
 
-    model: ClassVar[str] = "pde"
+    columns: ClassVar[tuple] = ("c_mid", "c_mean")
 
     grid: SolidGrid
     c: np.ndarray
@@ -285,6 +290,10 @@ class FieldState:
     def functional(self) -> float:
         """Scalar observable: the concentration at the interface midpoint."""
         return interface_midpoint(self)
+
+    def observables(self) -> tuple:
+        """The trajectory values named by ``columns``: interface midpoint and mean."""
+        return (interface_midpoint(self), interface_mean(self))
 
     def half_width(self) -> np.ndarray:
         """Channel half-width law h(x) = 1 - c(x), one value per interface node."""

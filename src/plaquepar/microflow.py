@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# Most samples a cycle may hold, so delta_tau >= 1e-5; a two-cycle PDE block
+# at this limit takes about 30 MB
+_MAX_SAMPLES = 100_000
 
 
 class _CycleData(NamedTuple):
@@ -102,8 +105,12 @@ class MicroParams:
             raise ValueError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
         if self.inflow_offset not in (0.0, 1.0, 0, 1):
             raise ValueError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
-        ns = 1.0 / self.delta_tau  # inf for a subnormal delta_tau
-        if not (math.isfinite(ns) and abs(ns - round(ns)) <= 1e-9):
+        if self.delta_tau < 1.0 / _MAX_SAMPLES:
+            raise ValueError(f"delta_tau={self.delta_tau} must be at least "
+                             f"{1.0 / _MAX_SAMPLES:g} (at most {_MAX_SAMPLES} samples "
+                             f"per cycle)")
+        ns = 1.0 / self.delta_tau
+        if not abs(ns - round(ns)) <= 1e-9:
             raise ValueError(f"delta_tau={self.delta_tau} must divide the 1-s period exactly")
         tau = self.delta_tau * np.arange(1, self.n_steps + 1)
         orbit, decay = periodic_orbit(tau, self), np.exp(-self.lambda_relax * tau)

@@ -76,7 +76,7 @@ class PararealEngine:
         self.w_init = None        # micro states of the initialization sweep
         self.c_coarse = None      # C(c^{(k)}(T_p)) of the latest coarse sweep at index p
         self.fine_end_w = None    # per-interval final micro states (re-usage)
-        self.last_steps = None    # (state, GrowthSample) per fine step, latest iteration
+        self.last_steps = None    # StepRow per fine step, latest iteration
         self.endpoints = {"fine": [], "coarse": []}  # stopping functionals per variant
 
     # -- coarse sweep: step (I) and the update of (II) ----------------------
@@ -166,7 +166,7 @@ class PararealEngine:
         self.ledger.add_message(P)  # stored growth values to the master
         self.ledger.add_message(P)  # micro states to the neighboring process
 
-        stored = [sample.gamma_bar for _, sample in steps]
+        stored = [row.gamma_bar for row in steps]
         assert len(stored) == self.sched.N_l
         c = self.macro0
         new_c = [c]
@@ -204,7 +204,7 @@ class PararealReport:
     speedup: float
     efficiency: float
     estimated_runtime: float
-    trajectory: TrajectoryRecord | None = None
+    trajectory: TrajectoryRecord
 
     def to_dict(self) -> dict:
         led = self.ledger

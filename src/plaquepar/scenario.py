@@ -156,8 +156,6 @@ def parse_scenario(source) -> Scenario:
     """Load a scenario from a JSON file path, a preset name, or a dict."""
     if isinstance(source, dict):
         return Scenario.from_dict(source)
-    if isinstance(source, Scenario):
-        return source
     name = str(source)
     if name in PRESETS:
         return preset(name)

@@ -10,6 +10,7 @@ reaction-diffusion model.
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .errors import ConfigError
 __all__ = [
     "DAY",
     "Schedule",
+    "StepRow",
     "TrajectoryRecord",
-    "channel_width",
     "advance_two_scale",
     "run_serial",
     "run_coarse_step",
@@ -74,36 +75,56 @@ class Schedule:
         return b
 
 
-def channel_width(state) -> float:
-    """Channel width 2h at the domain center."""
-    return 2.0 * (1.0 - state.functional())
-
-
 def _gamma_scalar(gamma_bar) -> float:
     g = np.asarray(gamma_bar)
     return float(g) if g.ndim == 0 else float(g.mean())
+
+
+class StepRow(NamedTuple):
+    """What one fine step leaves behind: the values a trajectory reads.
+
+    t is the time after the step, values the new state's
+    ``observables()``, gamma_bar the growth value the step used (a float
+    for the ODE model, one value per interface node for the PDE model)
+    and cycles the cycle count of the micro problem behind it.  The row
+    keeps no macro state.
+    """
+
+    t: float
+    values: tuple
+    gamma_bar: object
+    cycles: int
 
 
 @dataclass
 class TrajectoryRecord:
     """Per-macro-step scalar history of a two-scale run.
 
-    Index n describes the state after n fine steps; gamma_scalar[n] and
-    cycles[n] describe the micro problem that produced step n (NaN and 0
-    at n=0).  The record keeps no states: a caller that needs a field at
-    some step advances to it with ``advance_two_scale``.
+    Row n describes the state after n fine steps: its time t[n] and
+    values[n], the state's observables named by ``columns`` (the first
+    is the stopping functional).  gamma_scalar[n] and cycles[n] describe
+    the micro problem that produced step n (NaN and 0 at n=0).  The
+    record keeps no states: a caller that needs a field at some step
+    advances to it with ``advance_two_scale``.
     """
 
-    model: str
+    columns: tuple
     t: np.ndarray
-    functionals: np.ndarray
+    values: np.ndarray
     gamma_scalar: np.ndarray
-    width: np.ndarray
     cycles: np.ndarray
-    means: np.ndarray | None = None
 
     def __len__(self):
         return len(self.t)
+
+    @property
+    def functionals(self) -> np.ndarray:
+        return self.values[:, 0]
+
+    @property
+    def width(self) -> np.ndarray:
+        """Channel width 2h at the domain center."""
+        return 2.0 * (1.0 - self.functionals)
 
     @property
     def endpoint(self) -> float:
@@ -111,18 +132,13 @@ class TrajectoryRecord:
 
     @classmethod
     def from_steps(cls, state0, steps) -> "TrajectoryRecord":
-        """Record of state0 followed by the (state, GrowthSample) pairs of steps."""
-        states = [state0] + [state for state, _ in steps]
-        samples = [sample for _, sample in steps]
+        """Record of state0 followed by the ``StepRow``s of steps."""
         return cls(
-            model=state0.model,
-            t=np.array([s.t for s in states]),
-            functionals=np.array([s.functional() for s in states]),
-            gamma_scalar=np.array([np.nan] + [_gamma_scalar(s.gamma_bar) for s in samples]),
-            width=np.array([channel_width(s) for s in states]),
-            cycles=np.array([0] + [s.cycles_used for s in samples], dtype=int),
-            means=(np.array([growth.interface_mean(s) for s in states])
-                   if state0.model == "pde" else None),
+            columns=state0.columns,
+            t=np.array([state0.t] + [row.t for row in steps]),
+            values=np.array([state0.observables()] + [row.values for row in steps]),
+            gamma_scalar=np.array([np.nan] + [_gamma_scalar(row.gamma_bar) for row in steps]),
+            cycles=np.array([0] + [row.cycles for row in steps], dtype=int),
         )
 
 
@@ -132,10 +148,11 @@ def advance_two_scale(macro, micro, n_steps: int, dt: float,
                       ledger=None, process=None):
     """Advance n_steps of the two-scale loop; the fine propagator.
 
-    Returns (macro, micro, steps) where steps is the per-step list of
-    (new state, GrowthSample).  Every step solves one micro problem and
-    performs one growth-model update; with a ledger, both are counted
-    here as fine work of ``process``, the micro problem with its cycles.
+    Returns (macro, micro, steps) where steps holds one ``StepRow`` per
+    step; only the end states outlive the call.  Every step solves one
+    micro problem and performs one growth-model update; with a ledger,
+    both are counted here as fine work of ``process``, the micro problem
+    with its cycles.
     """
     steps = []
     for _ in range(n_steps):
@@ -146,7 +163,8 @@ def advance_two_scale(macro, micro, n_steps: int, dt: float,
         macro = macro.step(sample.gamma_bar, dt, growth_params)
         if ledger is not None:
             ledger.add_rd("fine", process=process)
-        steps.append((macro, sample))
+        steps.append(StepRow(macro.t, macro.observables(), sample.gamma_bar,
+                             sample.cycles_used))
     return macro, micro, steps
 
 
@@ -197,25 +215,17 @@ def run_coarse_step(macro, micro, dT: float, mode: str,
 def trajectory_to_csv(rec: TrajectoryRecord, path):
     """Write the trajectory time series as CSV.
 
-    Columns: t_days, c_s (ODE) or c_mid, c_mean (PDE), gamma_bar (mean
-    over the interface for the PDE model), width (2h at the center) and
-    cycles of the micro problem behind each step.
+    Columns: t_days, the record's ``columns`` (c_s for the ODE model,
+    c_mid and c_mean for the PDE model), gamma_bar (mean over the
+    interface for the PDE model), width (2h at the center) and cycles of
+    the micro problem behind each step.
     """
     def r(v):
         return repr(float(v))
 
+    width = rec.width
     with open(path, "w", encoding="utf-8") as f:
-        if rec.model == "ode":
-            f.write("t_days,c_s,gamma_bar,width,cycles\n")
-            for n in range(len(rec)):
-                f.write(
-                    f"{r(rec.t[n] / DAY)},{r(rec.functionals[n])},"
-                    f"{r(rec.gamma_scalar[n])},{r(rec.width[n])},{rec.cycles[n]}\n"
-                )
-        else:
-            f.write("t_days,c_mid,c_mean,gamma_bar,width,cycles\n")
-            for n in range(len(rec)):
-                f.write(
-                    f"{r(rec.t[n] / DAY)},{r(rec.functionals[n])},{r(rec.means[n])},"
-                    f"{r(rec.gamma_scalar[n])},{r(rec.width[n])},{rec.cycles[n]}\n"
-                )
+        f.write(",".join(("t_days", *rec.columns, "gamma_bar,width,cycles")) + "\n")
+        for n in range(len(rec)):
+            cells = (rec.t[n] / DAY, *rec.values[n], rec.gamma_scalar[n], width[n])
+            f.write(",".join(map(r, cells)) + f",{rec.cycles[n]}\n")

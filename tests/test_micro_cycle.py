@@ -33,7 +33,7 @@ def reference_cycle(q0, h, state, mp, gp):
     """One cycle from the public functions: (final q, wss, averaged growth)."""
     tau = mp.delta_tau * np.arange(1, mp.n_steps + 1)
     q = periodic_orbit(tau, mp) + (q0 - periodic_orbit(0.0, mp)) * np.exp(-mp.lambda_relax * tau)
-    if state.model == "ode":
+    if isinstance(state, ScalarState):
         wss = wall_shear_stress(q, h, mp)
         gamma = float(np.mean(gamma_ode(wss, state.c_s, gp), axis=0))
     else:
@@ -312,4 +312,4 @@ def test_two_scale_steps_make_one_micro_problem_call_each(model, counted):
     state, gp = (ode_state(), ODE_GP) if model == "ode" else (pde_state(), PDE_GP)
     _, _, steps = advance_two_scale(state, MicroState(0.0), 7, 0.3 * DAY, gp, mp)
     assert counted["solve_micro_problem"] == 7
-    assert counted["advance_cycle"] == sum(s.cycles_used - 1 for _, s in steps)
+    assert counted["advance_cycle"] == sum(row.cycles - 1 for row in steps)

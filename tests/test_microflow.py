@@ -218,6 +218,11 @@ def test_half_width_laws():
 def test_params_validation():
     with pytest.raises(ValueError):
         MicroParams(delta_tau=0.03)  # does not divide the period
+    # more than 1e5 samples per cycle: 1e-9 would allocate two 8-GB arrays, and
+    # 1e-300 used to fail in numpy with a message that names no field
+    for delta_tau in (1e-9, 1e-300):
+        with pytest.raises(ValueError, match="delta_tau"):
+            MicroParams(delta_tau=delta_tau)
     with pytest.raises(ValueError):
         MicroParams(inflow_offset=0.5)
     with pytest.raises(ValueError):

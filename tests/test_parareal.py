@@ -1,9 +1,11 @@
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from plaquepar import costs
+from plaquepar import costs, growth
 from plaquepar.errors import ConfigError, PararealNonConvergenceError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
@@ -287,3 +289,30 @@ def test_trajectory_assembled_from_fine_sweeps():
     # the assembled endpoint is the last fine endpoint used for reporting
     assert abs(traj.endpoint - rep.reference_endpoint) == pytest.approx(
         rep.per_iteration[-1]["fine_error"], rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["standard", "reusage"])
+def test_no_fine_step_state_outlives_its_sweep(monkeypatch, mode):
+    # a fine sweep hands the master rows of values; of all the states the
+    # growth model stepped, only the iterate and the cached coarse values live on
+    stepped = []
+    macro_step_pde = growth.macro_step_pde
+
+    def spy(*args, **kwargs):
+        state = macro_step_pde(*args, **kwargs)
+        stepped.append(weakref.ref(state))
+        return state
+    monkeypatch.setattr(growth, "macro_step_pde", spy)
+    sched = Schedule(16 * DAY, 16, 4)
+    eng = PararealEngine(sched, PDE_GP, PDE_MP, FieldState.zero(SolidGrid(21, 4)),
+                         MicroState(0.0), mode=mode).initialize()
+    eng.iterate()
+    eng.iterate()
+    gc.collect()
+    kept = {id(state) for state in eng.c_bar + eng.c_coarse}
+    live = [ref() for ref in stepped if ref() is not None]
+    outliving = sum(id(state) not in kept for state in live)
+    # the initialization sweep, then per iteration the fine steps and the
+    # master's coarse steps (one per interval, or all N_l with re-usage)
+    assert len(stepped) == 4 + 2 * (16 + (16 if mode == "reusage" else 4))
+    assert len(live) > 0 and outliving == 0

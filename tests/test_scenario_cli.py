@@ -305,7 +305,9 @@ def test_cli_presets_command(tmp_path):
                                        {"--kpar": "0"}, {"--P": "1001"},
                                        # ratios that overflow to infinity
                                        {"T_end_days": 1e308, "dt_days": 1e-300},
-                                       {"delta_tau": 5e-324}])
+                                       {"delta_tau": 5e-324},
+                                       # more samples per cycle than the bound
+                                       {"delta_tau": 1e-300}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     flags = {k: v for k, v in overrides.items() if k.startswith("--")}
     path = tmp_path / "bad.json"
@@ -318,7 +320,10 @@ def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides
     else:
         argv = ["run", "--scenario", str(path)]
     assert main(argv) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    if "delta_tau" in overrides:
+        assert "delta_tau" in err
 
 
 @pytest.mark.parametrize("nx, ny", [(100, 11), (101, 2)])

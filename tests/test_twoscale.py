@@ -9,8 +9,7 @@ from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
 from plaquepar.twoscale import (DAY, Schedule, TrajectoryRecord, advance_two_scale,
-                                channel_width, run_coarse_step, run_serial,
-                                trajectory_to_csv)
+                                run_coarse_step, run_serial, trajectory_to_csv)
 
 GP = GrowthParams()
 MP = MicroParams()
@@ -160,9 +159,9 @@ def test_pde_serial_smoke():
     led = CostLedger(1)
     rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0), led)
     assert led.micro_fine == 20 and led.rd_fine == 20
-    assert rec.model == "pde"
+    assert rec.columns == ("c_mid", "c_mean")
     assert rec.functionals[-1] > 0
-    assert rec.means[-1] > 0
+    assert rec.values[-1, rec.columns.index("c_mean")] > 0
     assert np.all(rec.width <= 2.0)
 
 
@@ -214,7 +213,7 @@ def test_propagators_count_micro_problems_at_their_level():
                                     GP, MP, ledger=led, process=1)
     assert led.micro_fine == 3 and led.per_process_micro == [0, 3]
     assert led.rd_fine == 3 and led.per_process_rd == [0, 3]
-    cycles = sum(sample.cycles_used for _, sample in steps)
+    cycles = sum(row.cycles for row in steps)
     assert led.per_process_fsi_steps == [0, cycles * MP.n_steps]
     assert led.micro_coarse == 0 and led.rd_coarse == 0
 
@@ -259,10 +258,14 @@ def test_trajectory_csv_pde(tmp_path):
 
 def test_state_functional_and_width():
     assert ScalarState(0.3).functional() == 0.3
-    assert channel_width(ScalarState(0.3)) == pytest.approx(1.4)
+    rec = TrajectoryRecord.from_steps(ScalarState(0.3), [])
+    assert rec.columns == ("c_s",) and len(rec) == 1
+    assert rec.width[0] == 2.0 * (1.0 - 0.3) == pytest.approx(1.4)
     grid = SolidGrid(11, 3)
     c = np.zeros((3, 11))
     c[-1, 5] = 0.2
     st = FieldState(grid, c)
     assert st.functional() == pytest.approx(0.2)
-    assert channel_width(st) == pytest.approx(1.6)
+    rec = TrajectoryRecord.from_steps(st, [])
+    assert rec.columns == ("c_mid", "c_mean") and len(rec) == 1
+    assert rec.width[0] == 2.0 * (1.0 - st.functional()) == pytest.approx(1.6)
