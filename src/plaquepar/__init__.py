@@ -13,7 +13,7 @@ from .costs import (CostLedger, count_heuristic,
                     count_reusage, count_rd_reusage, count_standard,
                     estimate_parallel_runtime, optimal_processes, ratio_bound,
                     speedup_efficiency)
-from .errors import (ChannelClosureError, ConfigError, GridAlignmentError,
+from .errors import (ChannelClosureError, ConfigError, GridAlignmentError, ImexStepError,
                      MicroNonConvergenceError, PararealNonConvergenceError)
 from .growth import (FieldState, GrowthParams, ScalarState, SolidGrid,
                      delta_weight, gamma_ode, gamma_pde, interface_midpoint,

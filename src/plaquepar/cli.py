@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from . import costs, parareal, twoscale
-from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
-                     PararealNonConvergenceError)
+from .errors import (ChannelClosureError, ConfigError, ImexStepError,
+                     MicroNonConvergenceError, PararealNonConvergenceError)
 from .scenario import MODES, PRESETS, STOPPING, Scenario, parse_scenario, preset
 
 # scenario mode -> engine mode
@@ -29,7 +29,8 @@ _FLAG_FIELDS = {"mode": "mode", "P": "P", "stopping": "stopping", "threads": "th
 _MICRO_COUNT = {"parareal": costs.count_standard, "reusage": costs.count_reusage,
                 "heuristic": costs.count_heuristic}
 # the run failures that exit 1 (a sweep reports them per column)
-_RUN_ERRORS = (PararealNonConvergenceError, MicroNonConvergenceError, ChannelClosureError)
+_RUN_ERRORS = (PararealNonConvergenceError, MicroNonConvergenceError, ChannelClosureError,
+               ImexStepError)
 
 
 def _scenario(args, **fields) -> Scenario:

@@ -23,3 +23,7 @@ class PararealNonConvergenceError(RuntimeError):
 
 class GridAlignmentError(ValueError):
     """Requested a grid node (e.g. the interface midpoint) that does not exist."""
+
+
+class ImexStepError(RuntimeError):
+    """IMEX step whose linear system the solver cannot solve (contraction bound too weak)."""

@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import GridAlignmentError
+from .errors import GridAlignmentError, ImexStepError
 
 __all__ = [
     "GrowthParams",
@@ -402,8 +402,7 @@ def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPa
     optional volume source on the full (ny, nx) grid, used by
     manufactured-solution tests.  Returns b in the grid layout of the
     unknowns, shape (ny-1, nx-2) for the nodes j=1..ny-1, i=1..nx-2.
-    The fast solve needs nothing else of A; only the LU fallback builds
-    the band matrix (``_imex_band``).  ``macro_step_pde`` calls this
+    The solve needs nothing else of A.  ``macro_step_pde`` calls this
     function through the module global, so a wrapper set on
     ``growth.imex_system`` (as the span tracer in ``perfbench`` does)
     times every assembly apart from its solve.
@@ -428,37 +427,13 @@ def imex_system(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthPa
     return b
 
 
-def _imex_band(state: FieldState, dt: float, p: GrowthParams) -> np.ndarray:
-    """The IMEX matrix A of ``imex_system`` in LAPACK band storage.
-
-    The unknowns are numbered x-outer and y-inner (node (i, j) is unknown
-    (i-1)(ny-1) + j-1), so A is banded with half-bandwidth ny-1 (instead
-    of nx-2 in row-major order).  Returns ab of shape
-    (2(ny-1)+1, (nx-2)(ny-1)) with ab[ny-1 + r - q, q] = A[r, q].
-    """
-    grid = state.grid
-    nxi, nyi = grid.nx - 2, grid.ny - 1
-    ax = 1.0 / grid.hx**2
-    ay = 1.0 / grid.hy**2
-    c_old = state.c[1:, 1:-1].T
-    s = float(p.reaction_sign)
-    react = -s * p.R_s * p.theta * (1.0 - c_old) + s * p.R_s * (1.0 - p.theta) * c_old
-    # in (nxi, nyi) view each diagonal is indexed by the column q's node (i-1, j-1)
-    ab = np.zeros((2 * nyi + 1, nxi, nyi))
-    ab[nyi] = (1.0 / dt - p.D_s * (-2.0 * ax - 2.0 * ay)) + react
-    ab[0, 1:] = -p.D_s * ax                # left neighbour couples to its right
-    ab[2 * nyi, :-1] = -p.D_s * ax         # right neighbour couples to its left
-    ab[nyi - 1, :, 1:] = -p.D_s * ay       # node below couples to its upper
-    ab[nyi + 1, :, :-1] = -p.D_s * ay      # node above couples to its lower
-    ab[nyi + 1, :, -2] = -p.D_s * (2.0 * ay)  # ghost-eliminated interface row
-    return ab.reshape(2 * nyi + 1, -1)
-
-
-# Largest a-priori contraction rate for which macro_step_pde takes the fast
-# solve.  It admits the 6-day and 20-day coarse steps of the PDE presets at
-# P = 10 (rates up to about 0.15); at the cap a step takes 53 sweeps, and the
-# count grows without bound as the rate approaches 1.
-_MAX_CONTRACTION = 0.5
+# Largest a-priori contraction rate that macro_step_pde solves; a weaker
+# bound raises ImexStepError.  At the limit a step takes 3,656 sweeps (about
+# 0.1 s on the 101 x 11 grid), and the count grows without bound as the rate
+# approaches 1.  The coarse steps of the PDE presets at P = 2..10 stay below
+# 0.4, and the longest steps that run (200 days, pde_paper cut to 400 days at
+# P = 2) reach 0.898.
+_MAX_CONTRACTION = 0.99
 
 
 def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: GrowthParams,
@@ -479,11 +454,9 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
     contracts by at most rho = max|E| / lambda_min(M0) per sweep in the
     weighted norm that makes the ghost row symmetric, and runs exactly
     ceil(log 2^-53 / log rho) sweeps, so the result agrees with a
-    direct solve to round-off.  When lambda_min(M0) is not safely
-    positive or rho exceeds ``_MAX_CONTRACTION``, the step builds the band
-    matrix and falls back to scipy's banded LU with partial pivoting
-    (imported on first use); either way the result is deterministic and
-    accurate far below the 1e-10 relative residual the model requires.
+    direct solve to round-off, far below the 1e-10 relative residual the
+    model requires.  When lambda_min(M0) is not safely positive or rho
+    exceeds ``_MAX_CONTRACTION``, the step raises ``ImexStepError``.
 
     Returns the FieldState at t + dt with zero Dirichlet boundary
     values.  With reaction_sign=+1 and non-negative influx the field
@@ -495,10 +468,8 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
     b = imex_system(state, gamma_bar, dt, p, forcing)
     grid = state.grid
     u = _fast_imex_solve(grid, state.c[1:, 1:-1], b, dt, p)
-    if u is None:
-        u = _banded_imex_solve(state, b, dt, p)
     if not np.all(np.isfinite(u)):
-        raise RuntimeError("IMEX linear solve produced non-finite values")
+        raise ImexStepError("IMEX linear solve produced non-finite values")
     c = np.zeros((grid.ny, grid.nx))
     c[1:, 1:-1] = u
     return FieldState._from_checked(grid, c, state.t + dt)
@@ -506,21 +477,17 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
 
 def _fast_imex_solve(grid: SolidGrid, c_old: np.ndarray, b: np.ndarray, dt: float,
                      p: GrowthParams):
-    """Solve the IMEX system for the (ny-1, nx-2) unknowns by fast diagonalization.
-
-    Returns None when the Richardson iteration is not safe to use.
-    """
+    """Solve the IMEX system for the (ny-1, nx-2) unknowns by fast diagonalization."""
     lo, hi = float(c_old.min()), float(c_old.max())
     c_mid = 0.5 * (lo + hi)
     s = float(p.reaction_sign)
     shift = 1.0 / dt + s * p.R_s * (c_mid - p.theta)
     e_max = 0.5 * p.R_s * (hi - lo)
     lam_min = shift + p.D_s * (grid.y_eigenvalues[0] + grid.x_eigenvalues[0])
-    if not lam_min > 1e-8 / dt:
-        return None
-    rho = e_max / lam_min
+    rho = e_max / lam_min if lam_min > 1e-8 / dt else math.inf
     if rho > _MAX_CONTRACTION:
-        return None
+        raise ImexStepError(f"IMEX linear solve: the {dt / 86400.0:g}-day step has "
+                            f"contraction bound {rho:.3g}, above the limit {_MAX_CONTRACTION}")
     sweeps = 1 if rho <= 2.0**-53 else math.ceil(-53.0 * math.log(2.0) / math.log(rho))
     inv = 1.0 / (shift + p.D_s * (grid.y_eigenvalues[:, None] + grid.x_eigenvalues))
     sx, v, v_inv = grid.sine_basis, grid.y_basis, grid.y_basis_inv
@@ -534,21 +501,6 @@ def _fast_imex_solve(grid: SolidGrid, c_old: np.ndarray, b: np.ndarray, dt: floa
     if shift - e_max >= 0.0 and b.min() >= 0.0:
         np.maximum(u, 0.0, out=u)
     return u
-
-
-def _banded_imex_solve(state: FieldState, b: np.ndarray, dt: float,
-                       p: GrowthParams) -> np.ndarray:
-    """Solve the IMEX system for the (ny-1, nx-2) unknowns by banded LU with
-    partial pivoting, in the x-outer numbering of ``_imex_band``."""
-    from scipy.linalg import solve_banded
-
-    nyi, nxi = b.shape
-    try:
-        u = solve_banded((nyi, nyi), _imex_band(state, dt, p), b.T.ravel(),
-                         overwrite_ab=True, overwrite_b=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"IMEX linear solve failed: {exc}") from exc
-    return u.reshape(nxi, nyi).T
 
 
 def interface_midpoint(state: FieldState) -> float:

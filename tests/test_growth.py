@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from plaquepar import growth
-from plaquepar.errors import GridAlignmentError
+from plaquepar.errors import GridAlignmentError, ImexStepError
 from plaquepar.growth import (FieldState, GrowthParams, ScalarState, SolidGrid,
                               delta_weight, field_to_csv, gamma_ode, gamma_pde,
                               imex_system, interface_mean, interface_midpoint,
@@ -193,12 +199,8 @@ def test_one_step_dense_oracle_nonzero_state():
 @pytest.mark.parametrize("nx, ny", [(5, 3), (21, 3), (7, 12), (16, 5), (101, 11)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_banded_step_matches_sparse_and_dense_references(nx, ny, sign):
-    # the sparse reference solves the band matrix of the LU fallback and the
-    # right-hand side of imex_system in the fallback's x-outer numbering with
-    # scipy's sparse LU, which pins the band-storage layout _imex_band documents
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
+    # a forced step on grids from the smallest (5 x 3) to the preset's, with
+    # either reaction sign
     g = SolidGrid(nx, ny)
     rng = np.random.default_rng(nx * ny)
     c0 = np.zeros((ny, nx))
@@ -209,15 +211,8 @@ def test_banded_step_matches_sparse_and_dense_references(nx, ny, sign):
     p = GrowthParams(alpha=5e-8, D_s=2e-3, R_s=1e-4, theta=0.7, reaction_sign=sign)
     dt = 500.0
     new = macro_step_pde(state, gb, dt, p, forcing=f)
-    ab = growth._imex_band(state, dt, p)
-    b = imex_system(state, gb, dt, p, forcing=f).T.ravel()
-    nyi = ny - 1
-    A = sp.dia_matrix((ab, nyi - np.arange(2 * nyi + 1)), shape=(b.size, b.size))
-    sparse_ref = np.zeros((ny, nx))
-    sparse_ref[1:, 1:-1] = spla.spsolve(A.tocsc(), b).reshape(nx - 2, nyi).T
-    dense_ref = dense_imex_step(state, gb, dt, p, forcing=f)
-    for ref in (sparse_ref, dense_ref):
-        assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref = dense_imex_step(state, gb, dt, p, forcing=f)
+    assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_step_assembles_once_through_module_global(monkeypatch):
@@ -263,18 +258,12 @@ def random_field_state(nx, ny, seed, high=0.5):
     return FieldState(g, c0), rng.uniform(0, 1e-7, size=nx)
 
 
-@pytest.fixture
-def banded_calls(monkeypatch):
-    """Record every fall back to the banded LU solve."""
-    calls = []
-    original = growth._banded_imex_solve
-
-    def recording(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(growth, "_banded_imex_solve", recording)
-    return calls
+def contraction_bound(state, dt, p):
+    """The a-priori contraction rate of the Richardson sweeps of one IMEX step."""
+    g = state.grid
+    lo, hi = state.c[1:, 1:-1].min(), state.c[1:, 1:-1].max()
+    shift = 1.0 / dt + p.reaction_sign * p.R_s * (0.5 * (lo + hi) - p.theta)
+    return 0.5 * p.R_s * (hi - lo) / (shift + p.D_s * (g.x_eigenvalues[0] + g.y_eigenvalues[0]))
 
 
 def test_grid_eigenbases_diagonalize_the_laplacians():
@@ -297,27 +286,66 @@ def test_grid_eigenbases_diagonalize_the_laplacians():
 @pytest.mark.parametrize("nx, ny", [(5, 3), (16, 5), (101, 11)])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("dt_days", [0.2, 6.0, 20.0])
-def test_fast_step_matches_dense_oracle(nx, ny, sign, dt_days, banded_calls):
+def test_fast_step_matches_dense_oracle(nx, ny, sign, dt_days):
     state, gb = random_field_state(nx, ny, seed=nx * ny)
     p = GrowthParams(alpha=5e-8, reaction_sign=sign)
     new = macro_step_pde(state, gb, dt_days * DAY, p)
     ref = dense_imex_step(state, gb, dt_days * DAY, p)
-    assert not banded_calls
     assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_fallback_step_matches_dense_oracle(banded_calls):
-    # a 60-day step on a field spanning [0, 1]: the reaction diagonal is too
-    # wide for the Richardson correction, so the step takes the banded LU
+@pytest.mark.parametrize("dt_days, rho", [pytest.param(60, 0.621, id="60-days"),
+                                           pytest.param(100, 0.772, id="100-days"),
+                                           pytest.param(200, 0.943, id="200-days")])
+def test_long_step_matches_dense_oracle(dt_days, rho):
+    # long steps on a field spanning [0, 1]: the wide reaction diagonal makes
+    # the contraction bound weak: 78, 142 and 629 sweeps
     state, gb = random_field_state(16, 5, seed=9, high=1.0)
     p = GrowthParams(alpha=5e-8)
-    new = macro_step_pde(state, gb, 60 * DAY, p)
-    ref = dense_imex_step(state, gb, 60 * DAY, p)
-    assert len(banded_calls) == 1
+    assert contraction_bound(state, dt_days * DAY, p) == pytest.approx(rho, abs=1e-3)
+    new = macro_step_pde(state, gb, dt_days * DAY, p)
+    ref = dense_imex_step(state, gb, dt_days * DAY, p)
     assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_fast_step_projects_round_off_onto_nonnegative(banded_calls):
+def test_long_step_solves_without_scipy():
+    # the 60-day step of the test above, in an interpreter where importing
+    # scipy fails
+    tests = Path(__file__).resolve().parent
+    src = Path(growth.__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from _oracles import dense_imex_step
+        from test_growth import random_field_state
+        from plaquepar.growth import GrowthParams, macro_step_pde
+        state, gb = random_field_state(16, 5, seed=9, high=1.0)
+        p = GrowthParams(alpha=5e-8)
+        new = macro_step_pde(state, gb, 60 * 86400.0, p)
+        ref = dense_imex_step(state, gb, 60 * 86400.0, p)
+        assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("dt_days, R_s, lo, hi", [
+    pytest.param(300, 5e-7, 0.99, 1.1, id="bound-above-limit"),
+    # a 20 times faster reaction: lambda_min(M0) < 0, so the bound is negative
+    pytest.param(60, 1e-5, -np.inf, 0.0, id="indefinite-m0")])
+def test_step_beyond_contraction_limit_raises(dt_days, R_s, lo, hi):
+    state, gb = random_field_state(16, 5, seed=9, high=1.0)
+    p = GrowthParams(alpha=5e-8, R_s=R_s)
+    assert lo < contraction_bound(state, dt_days * DAY, p) < hi
+    with pytest.raises(ImexStepError, match=f"IMEX linear solve: the {dt_days}-day step"):
+        macro_step_pde(state, gb, dt_days * DAY, p)
+
+
+def test_fast_step_projects_round_off_onto_nonnegative():
     # with influx only on |x| < 1 the exact solution decays to zero towards
     # x = +-5, where the transforms leave round-off of either sign
     g = SolidGrid(101, 11)
@@ -329,10 +357,9 @@ def test_fast_step_projects_round_off_onto_nonnegative(banded_calls):
         assert new.c.min() >= 0.0
         assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
         state = new
-    assert not banded_calls
 
 
-def test_negative_forced_solution_is_not_clipped(banded_calls):
+def test_negative_forced_solution_is_not_clipped():
     # the system is an M-matrix here, but a negative source makes the exact
     # solution negative; only a non-negative right-hand side allows clipping
     state, gb = random_field_state(16, 5, seed=12)
@@ -342,14 +369,13 @@ def test_negative_forced_solution_is_not_clipped(banded_calls):
     f[2, 3:7] = -1e-4
     new = macro_step_pde(state, gb, dt, p, forcing=f)
     ref = dense_imex_step(state, gb, dt, p, forcing=f)
-    assert not banded_calls
     assert ref.min() < 0.0 and new.c.min() < 0.0
     assert np.abs(new.c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_theta_one_reduces_to_backward_euler_linearization():
-    # for theta=1 the reaction column of the matrix is -s R (1 - c_old), so
-    # the main diagonal is 1/dt + 2 D (1/hx^2 + 1/hy^2) - R (1 - c_old)
+    # for theta=1 the reaction enters the matrix only as -s R (1 - c_old) on
+    # its diagonal, and the right-hand side only through c_old / dt
     g = SolidGrid(9, 4)
     rng = np.random.default_rng(2)
     c0 = np.zeros((4, 9))
@@ -357,12 +383,7 @@ def test_theta_one_reduces_to_backward_euler_linearization():
     p1 = GrowthParams(alpha=1e-7, D_s=1e-3, R_s=0.3, theta=1.0, reaction_sign=1)
     state = FieldState(g, c0)
     dt = 2.0
-    ab = growth._imex_band(state, dt, p1)
-    # x-outer numbering: unknown (i-1)(ny-1) + j-1 holds node (i, j)
-    c_old = c0[1:, 1:-1].T.ravel()
-    ref = (1.0 / dt + 2.0 * p1.D_s * (1.0 / g.hx**2 + 1.0 / g.hy**2)
-           - p1.R_s * (1.0 - c_old))
-    assert np.abs(ab[g.ny - 1] - ref).max() < 1e-14
+    assert np.array_equal(imex_system(state, np.zeros(g.nx), dt, p1), c0[1:, 1:-1] / dt)
     new = macro_step_pde(state, np.zeros(g.nx), dt, p1)
     dense = dense_imex_step(state, np.zeros(g.nx), dt, p1)
     assert np.abs(new.c - dense).max() <= 1e-12 * np.abs(dense).max()

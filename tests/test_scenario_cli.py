@@ -363,14 +363,38 @@ def test_ode_run_does_not_import_scipy(tmp_path):
 
 @pytest.mark.parametrize("mode", ["parareal", "reusage"])
 def test_pde_run_does_not_import_scipy(tmp_path, mode):
-    # the IMEX step solves by fast diagonalization with numpy; scipy's
-    # banded LU is only the fallback for steps no preset takes
+    # the IMEX step solves by fast diagonalization with numpy alone
     scn = preset("pde_paper", T_end_days=20.0, dt_days=0.5, nx=21, ny=6, mode=mode,
                  P=10, stopping="coarse", out_dir=str(tmp_path / "out"))
     path = str(tmp_path / "scn.json")
     scn.to_json(path)
     assert_run_leaves_scipy_unloaded(path)
     assert json.loads((tmp_path / "out" / "report.json").read_text())["k_par"] >= 1
+
+
+def long_step_scenario(tmp_path) -> str:
+    """pde_paper with 6-day steps to 600 days: at P = 2 the shifted Kronecker-sum
+    part of a 300-day coarse step's IMEX matrix is not positive definite."""
+    scn = preset("pde_paper", T_end_days=600.0, dt_days=6.0, nx=21, ny=5, mode="parareal",
+                 out_dir=str(tmp_path / "out"))
+    path = str(tmp_path / "long.json")
+    scn.to_json(path)
+    return path
+
+
+def test_cli_run_beyond_contraction_limit_fails_cleanly(tmp_path, capsys):
+    path = long_step_scenario(tmp_path)
+    assert main(["run", "--scenario", path, "--P", "2", "--stopping", "coarse"]) == 1
+    assert capsys.readouterr().err.startswith("run failed: IMEX linear solve: the 300-day step")
+
+
+def test_cli_sweep_reports_imex_failure_per_column(tmp_path, capsys):
+    path = long_step_scenario(tmp_path)
+    assert main(["sweep", "--scenario", path, "--P", "2,10", "--stopping", "coarse"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("P=2: FAILED (IMEX linear solve: the 300-day step")
+    header = (tmp_path / "out" / "table.txt").read_text().splitlines()[0]
+    assert "P=10" in header and "P=2" not in header
 
 
 def test_cli_missing_scenario_file(tmp_path):
