@@ -14,7 +14,7 @@ from .costs import (CostLedger, count_heuristic,
                     estimate_parallel_runtime, optimal_processes, ratio_bound,
                     speedup_efficiency)
 from .errors import (ChannelClosureError, ConfigError, GridAlignmentError, ImexStepError,
-                     MicroNonConvergenceError, PararealNonConvergenceError)
+                     MicroNonConvergenceError, PararealNonConvergenceError, RunError)
 from .growth import (FieldState, GrowthParams, ScalarState, SolidGrid,
                      delta_weight, gamma_ode, gamma_pde, interface_midpoint,
                      macro_step_ode, macro_step_pde)

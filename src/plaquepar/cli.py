@@ -15,8 +15,7 @@ import time
 from pathlib import Path
 
 from . import costs, parareal, twoscale
-from .errors import (ChannelClosureError, ConfigError, ImexStepError,
-                     MicroNonConvergenceError, PararealNonConvergenceError)
+from .errors import ConfigError, RunError
 from .scenario import MODES, PRESETS, STOPPING, Scenario, parse_scenario, preset
 
 # scenario mode -> engine mode
@@ -28,9 +27,6 @@ _FLAG_FIELDS = {"mode": "mode", "P": "P", "stopping": "stopping", "threads": "th
 # closed-form micro-problem count of each parareal scenario mode
 _MICRO_COUNT = {"parareal": costs.count_standard, "reusage": costs.count_reusage,
                 "heuristic": costs.count_heuristic}
-# the run failures that exit 1 (a sweep reports them per column)
-_RUN_ERRORS = (PararealNonConvergenceError, MicroNonConvergenceError, ChannelClosureError,
-               ImexStepError)
 
 
 def _scenario(args, **fields) -> Scenario:
@@ -139,7 +135,7 @@ def _cmd_sweep(args) -> int:
         for scn in scenarios:
             try:
                 columns.append(_column(_run(scn, reference)))
-            except _RUN_ERRORS as exc:
+            except RunError as exc:
                 failed = True
                 print(f"P={scn.P}: FAILED ({exc})", file=sys.stderr)
     if not columns:
@@ -213,7 +209,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _RUN_ERRORS as exc:
+    except RunError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

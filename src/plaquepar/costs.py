@@ -108,7 +108,10 @@ class CostLedger:
     Fine-level work is attributed to a process index so that parallel
     runtimes (max over processes) and serial-equivalent counts can be
     derived after the run.  Increments are commutative, which keeps
-    totals independent of the worker scheduling.
+    totals independent of the worker scheduling.  The propagators count
+    nothing: ``parareal.run`` and its engine fill the ledger, one
+    ``add_fine_sweep`` per finished fine sweep (from the sweep's
+    ``StepRow`` cycles) and one ``add_micro``/``add_rd`` per coarse step.
     """
 
     def __init__(self, n_processes: int = 1):
@@ -140,6 +143,21 @@ class CostLedger:
                 self.fsi_steps_coarse += steps
             else:
                 raise ValueError(f"unknown level {level!r}")
+
+    def add_fine_sweep(self, process: int, cycles, n_steps: int):
+        """Count one finished fine sweep of ``process`` from its per-step cycle counts.
+
+        Each step is one micro problem of ``cycles[i]`` cycles with
+        n_steps steps each plus one growth-model solve.
+        """
+        n = len(cycles)
+        steps = int(sum(cycles)) * n_steps
+        with self._lock:
+            self.micro_fine += n
+            self.per_process_micro[process] += n
+            self.per_process_fsi_steps[process] += steps
+            self.rd_fine += n
+            self.per_process_rd[process] += n
 
     def add_rd(self, level: str, process=None):
         """Count one growth-model solve (ODE update or IMEX step)."""

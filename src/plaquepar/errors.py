@@ -5,25 +5,33 @@ class ConfigError(ValueError):
     """Invalid or inconsistent scenario/schedule configuration."""
 
 
-class ChannelClosureError(RuntimeError):
-    """Channel half-width fell below the configured minimum (lumen closure)."""
+class RunError(RuntimeError):
+    """A run that stopped before it finished.
 
-
-class MicroNonConvergenceError(RuntimeError):
-    """Micro problem did not reach a near-periodic state within its cycle limit."""
-
-
-class PararealNonConvergenceError(RuntimeError):
-    """Parareal iteration did not satisfy its stopping criterion within max_iters."""
+    ``report`` is the partial ``PararealReport`` when ``parareal.run``
+    raised the error after the serial reference, and None otherwise.
+    """
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
 
+class ChannelClosureError(RunError):
+    """Channel half-width fell below the configured minimum (lumen closure)."""
+
+
+class MicroNonConvergenceError(RunError):
+    """Micro problem did not reach a near-periodic state within its cycle limit."""
+
+
+class PararealNonConvergenceError(RunError):
+    """Parareal iteration did not satisfy its stopping criterion within max_iters."""
+
+
 class GridAlignmentError(ValueError):
     """Requested a grid node (e.g. the interface midpoint) that does not exist."""
 
 
-class ImexStepError(RuntimeError):
+class ImexStepError(RunError):
     """IMEX step whose linear system the solver cannot solve (contraction bound too weak)."""

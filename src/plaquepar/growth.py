@@ -227,11 +227,13 @@ class ScalarState:
         Returns a float for samples of shape (N_s,), and a list with one
         float per cycle for a block of shape (k, N_s).
         """
-        if wss.min() < 0:  # c_s >= 0 holds since construction
+        # ufunc reductions called directly: the ndarray methods add a
+        # Python-level wrapper per call
+        if np.minimum.reduce(wss, axis=None) < 0:  # c_s >= 0 holds since construction
             raise ValueError("wall shear stress norm must be non-negative")
         gamma = _gamma_ode(wss, self.c_s, p)
         # the sum and division of np.mean, without its per-call dispatch
-        return (gamma.sum(axis=-1) / gamma.shape[-1]).tolist()
+        return (np.add.reduce(gamma, axis=-1) / gamma.shape[-1]).tolist()
 
     def growth_change(self, new: float, old: float) -> float:
         """Distance |new - old| of two growth values of this model."""
@@ -317,13 +319,15 @@ class FieldState:
         if wss.shape[-1] != grid.support_weight.size:
             raise ValueError(f"wss must hold one value per support node "
                              f"({grid.support_weight.size}), got shape {wss.shape}")
-        if wss.min(initial=0.0) < 0:  # an empty support has no samples
+        # an empty support has no samples
+        if np.minimum.reduce(wss, axis=None, initial=0.0) < 0:
             raise ValueError("wall shear stress must be non-negative")
         g = _gamma_pde(wss, grid.support_weight, p)
         # numpy sums a sample axis with more than one node beside it in
         # sample order, as the full-width mean does, but a single node's
         # samples pairwise, which cumsum avoids
-        total = g.sum(axis=-2) if g.shape[-1] != 1 else g.cumsum(axis=-2)[..., -1, :]
+        total = (np.add.reduce(g, axis=-2) if g.shape[-1] != 1
+                 else g.cumsum(axis=-2)[..., -1, :])
         gamma = np.zeros(total.shape[:-1] + (grid.nx,))
         gamma[..., grid.support] = total / g.shape[-2]
         # an array of its own per cycle, so that a kept value keeps no other
@@ -331,7 +335,7 @@ class FieldState:
 
     def growth_change(self, new: np.ndarray, old: np.ndarray) -> float:
         """Largest nodewise distance |new - old| of two growth values of this model."""
-        return float(np.max(np.abs(new - old)))
+        return float(np.maximum.reduce(np.abs(new - old)))
 
     def combine(self, fine: "FieldState", prev: "FieldState") -> "FieldState":
         """Predictor-corrector update self + fine - prev, at this state's time."""
@@ -468,7 +472,7 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
     b = imex_system(state, gamma_bar, dt, p, forcing)
     grid = state.grid
     u = _fast_imex_solve(grid, state.c[1:, 1:-1], b, dt, p)
-    if not np.all(np.isfinite(u)):
+    if not np.logical_and.reduce(np.isfinite(u), axis=None):
         raise ImexStepError("IMEX linear solve produced non-finite values")
     c = np.zeros((grid.ny, grid.nx))
     c[1:, 1:-1] = u
@@ -478,7 +482,8 @@ def macro_step_pde(state: FieldState, gamma_bar: np.ndarray, dt: float, p: Growt
 def _fast_imex_solve(grid: SolidGrid, c_old: np.ndarray, b: np.ndarray, dt: float,
                      p: GrowthParams):
     """Solve the IMEX system for the (ny-1, nx-2) unknowns by fast diagonalization."""
-    lo, hi = float(c_old.min()), float(c_old.max())
+    lo = float(np.minimum.reduce(c_old, axis=None))
+    hi = float(np.maximum.reduce(c_old, axis=None))
     c_mid = 0.5 * (lo + hi)
     s = float(p.reaction_sign)
     shift = 1.0 / dt + s * p.R_s * (c_mid - p.theta)
@@ -498,7 +503,7 @@ def _fast_imex_solve(grid: SolidGrid, c_old: np.ndarray, b: np.ndarray, dt: floa
     # with 1/dt + min(reaction) >= 0 the matrix is an M-matrix, so b >= 0
     # makes the exact solution non-negative and the projection can only
     # remove round-off; forced solutions may be legitimately negative
-    if shift - e_max >= 0.0 and b.min() >= 0.0:
+    if shift - e_max >= 0.0 and np.minimum.reduce(b, axis=None) >= 0.0:
         np.maximum(u, 0.0, out=u)
     return u
 

@@ -148,8 +148,7 @@ class MicroState:
             raise ValueError(f"flow amplitude must be finite and >= 0, got {self.q}")
 
 
-@dataclass(frozen=True)
-class GrowthSample:
+class GrowthSample(NamedTuple):
     """Cycle-averaged growth value(s) of one micro problem.
 
     gamma_bar is a scalar (1/s, ODE model) or a per-interface-node array
@@ -202,7 +201,7 @@ def wall_shear_stress(q, h_local, params: MicroParams):
 
 def _check_open(h, params: MicroParams):
     """Raise ChannelClosureError unless h > h_min (> 0) everywhere; h is a float or an array."""
-    h_low = h if isinstance(h, float) else np.min(h, initial=math.inf)
+    h_low = h if isinstance(h, float) else np.minimum.reduce(h, axis=None, initial=math.inf)
     if h_low <= params.h_min:
         raise ChannelClosureError(
             f"channel half-width {h_low:g} cm at or below h_min={params.h_min:g} cm"
@@ -232,15 +231,19 @@ def advance_cycle(w0: MicroState, h, params: MicroParams, cycles: int | None = N
         raise ValueError(f"cycles must be at least 1, got {cycles}")
     _check_open(h, params)  # also guarantees h > 0 for the division below
     cycle = params._cycle
+    orbit0, orbit_end, decay_end = cycle.orbit0, cycle.orbit_end, cycle.decay_end
     # each period's deviation from the orbit at its start, and its end state:
     # the last sample of q_traj below, computed with the same float operations
     deviations, ends, q = [], [], w0.q
     for _ in range(1 if cycles is None else cycles):
-        deviations.append(q - cycle.orbit0)
-        q = cycle.orbit_end + deviations[-1] * cycle.decay_end
+        deviation = q - orbit0
+        q = orbit_end + deviation * decay_end
+        deviations.append(deviation)
         ends.append(MicroState(q))
-    deviation = deviations[0] if cycles is None else np.array(deviations)[:, None]
-    q_traj = cycle.orbit + deviation * cycle.decay
+    if cycles is None:
+        q_traj = cycle.orbit + deviation * cycle.decay
+    else:
+        q_traj = cycle.orbit + np.multiply.outer(deviations, cycle.decay)
     if isinstance(h, float):
         wss = cycle.wss_factor * q_traj / (h * h)
     else:
@@ -269,8 +272,9 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
     The closure check runs once, on the full interface; the cycles
     evaluate WSS and growth on the damage support only (``on_support``).
     Returns (GrowthSample, final MicroState); the final state serves as
-    warm start for the next macro step.  The callers count the micro
-    problem (``cycles_used`` cycles of ``params.n_steps`` steps each).
+    warm start for the next macro step.  Nothing is counted here: the
+    parareal engine counts the micro problem from the sample's
+    ``cycles_used`` (cycles of ``params.n_steps`` steps each).
 
     Raises MicroNonConvergenceError when params.max_cycles is exhausted
     and ChannelClosureError when the channel is too narrow.

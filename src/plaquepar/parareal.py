@@ -16,15 +16,25 @@ Modes:
 The P fine sweeps of one iteration are independent; the paper runs them
 on P processes, and the engine runs them one after another in interval
 order in the calling thread, counting the same micro problems, growth
-solves and messages per process.  Warm starts follow the written
-algorithms: standard/heuristic sweeps reuse the interval's
-initialization micro state on the same process each iteration, while
-re-usage passes the micro state of the neighboring interval's last fine
-step across processes.
+solves and messages per process.  The engine does all cost counting:
+once per finished fine sweep, from the cycles of the ``StepRow``s that
+``advance_two_scale`` returns, and once per coarse step, from the
+``GrowthSample`` of ``run_coarse_step``; the propagators count nothing.
+Warm starts follow the written algorithms: standard/heuristic sweeps
+reuse the interval's initialization micro state on the same process
+each iteration, while re-usage passes the micro state of the
+neighboring interval's last fine step across processes.
 
 With P=1 ``run`` is the serial two-scale run: it returns the report of
-``twoscale.run_serial`` and never builds the engine.  That is the only
-serial path; the CLI's "serial" mode goes through it.
+``twoscale.run_serial``, counted from its record's cycles, and never
+builds the engine.  That is the only serial path; the CLI's "serial"
+mode goes through it.
+
+A run failure inside the iteration (``ChannelClosureError``,
+``MicroNonConvergenceError``, ``ImexStepError``) leaves ``run`` with the
+partial report attached, as ``PararealNonConvergenceError`` does: the
+completed iterations, the ledger of every completed sweep and coarse
+step, and the latest completed iteration's trajectory.
 """
 
 import dataclasses
@@ -33,7 +43,8 @@ from dataclasses import dataclass
 
 from . import growth, microflow
 from .costs import CostLedger, estimate_parallel_runtime, speedup_efficiency
-from .errors import ConfigError, PararealNonConvergenceError
+from .errors import (ChannelClosureError, ConfigError, ImexStepError,
+                     MicroNonConvergenceError, PararealNonConvergenceError)
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
@@ -48,7 +59,8 @@ class PararealEngine:
     Holds the interval-boundary iterate values, the cached coarse
     results, warm-start micro states and (for re-usage) the stored
     growth values.  ``initialize`` runs the coarse sweep of step (I);
-    each ``iterate`` performs one full parareal iteration.
+    each ``iterate`` performs one full parareal iteration.  ``ledger``
+    counts every finished fine sweep and coarse step.
     """
 
     def __init__(self, schedule: Schedule, growth_params: growth.GrowthParams,
@@ -66,6 +78,7 @@ class PararealEngine:
         self.micro0 = micro0
         self.mode = mode
         self.ledger = CostLedger(schedule.P)
+        self._n_s = micro_params.n_steps
 
         self._steps = schedule.interval_steps()
         self._bounds = schedule.boundaries()
@@ -93,10 +106,13 @@ class PararealEngine:
         """
         values, micro, coarse = [self.macro0], [self.micro0], []
         for p in range(self.sched.P):
-            c, w, _ = run_coarse_step(
+            c, w, sample = run_coarse_step(
                 values[p], micro[p], self._steps[p] * self.sched.dt, self._coarse_kind,
-                self.gp, self.mp, self.ledger,
+                self.gp, self.mp,
             )
+            if self._coarse_kind == "two_scale":  # the stationary surrogate is free
+                self.ledger.add_micro("coarse", sample.cycles_used, self._n_s)
+            self.ledger.add_rd("coarse")
             values.append(c if fine_ends is None
                           else c.combine(fine_ends[p], self.c_coarse[p]))
             micro.append(w)
@@ -135,9 +151,9 @@ class PararealEngine:
         ends, end_micro, steps = [], [], []
         for p, warm in enumerate(self._warm_starts()):
             end, w, interval_steps = advance_two_scale(
-                self._restart(p), warm, self._steps[p], self.sched.dt,
-                self.gp, self.mp, ledger=self.ledger, process=p,
+                self._restart(p), warm, self._steps[p], self.sched.dt, self.gp, self.mp,
             )
+            self.ledger.add_fine_sweep(p, [row.cycles for row in interval_steps], self._n_s)
             ends.append(end)
             end_micro.append(w)
             steps += interval_steps
@@ -180,10 +196,11 @@ class PararealEngine:
     # -- assembled output ----------------------------------------------------
 
     def trajectory(self) -> TrajectoryRecord:
-        """Concatenated fine trajectory of the latest iteration."""
-        if self.last_steps is None:
-            raise RuntimeError("no fine sweeps have been run yet")
-        return TrajectoryRecord.from_steps(self.macro0, self.last_steps)
+        """Concatenated fine trajectory of the latest completed iteration.
+
+        Before the first one completes, the one-row record of ``macro0``.
+        """
+        return TrajectoryRecord.from_steps(self.macro0, self.last_steps or [])
 
 
 @dataclass
@@ -232,6 +249,24 @@ class PararealReport:
         }
 
 
+def _report(schedule: Schedule, mode: str, stopping: str, eps_par: float, k: int,
+            converged: bool, per_iteration: list, ledger: CostLedger, endpoint: float,
+            reference_endpoint: float, trajectory: TrajectoryRecord) -> PararealReport:
+    """The report of a finished or failed run; speedup and efficiency are NaN
+    while no micro problem has been counted."""
+    count = ledger.micro_serial_equivalent
+    speedup, efficiency = (speedup_efficiency(count, schedule.N_l, schedule.P) if count
+                           else (math.nan, math.nan))
+    return PararealReport(
+        mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=k,
+        converged=converged, stopping=stopping, eps_par=eps_par,
+        per_iteration=per_iteration, ledger=ledger, endpoint=endpoint,
+        reference_endpoint=reference_endpoint, speedup=speedup, efficiency=efficiency,
+        estimated_runtime=estimate_parallel_runtime(ledger),
+        trajectory=trajectory,
+    )
+
+
 def run(schedule: Schedule, growth_params: growth.GrowthParams,
         micro_params: microflow.MicroParams, macro0, micro0, *,
         mode: str = "standard", stopping: str = "fine", eps_par: float = 1e-3,
@@ -248,8 +283,13 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     of the engine modes, or "serial", which only P=1 accepts).
 
     Raises ConfigError when a supplied reference does not have N_l + 1
-    points ending at T_end, and PararealNonConvergenceError (with the
-    partial report attached) when max_iters is exhausted.
+    points ending at T_end, and PararealNonConvergenceError when
+    max_iters is exhausted.  That error, and a ChannelClosureError,
+    MicroNonConvergenceError or ImexStepError raised by the engine,
+    carry the partial report (``converged`` False, k_par the completed
+    iterations, the last completed iteration's trajectory, or the
+    initial state's one-row record before the first).  A failure of the
+    serial run, as reference or at P=1, carries none.
     """
     if mode not in _MODES and not (mode == "serial" and schedule.P == 1):
         raise ConfigError(f"mode must be one of {_MODES} (or 'serial' at P=1), "
@@ -268,21 +308,29 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
             f"the schedule needs N_l + 1 = {schedule.N_l + 1} ending at "
             f"T_end={schedule.T_end!r}")
     if schedule.P == 1:
+        trajectory = run_serial(schedule, growth_params, micro_params, macro0, micro0)
         ledger = CostLedger(1)
-        trajectory = run_serial(schedule, growth_params, micro_params, macro0,
-                                micro0, ledger)
-        k, converged, per_iteration = 0, True, []
-        endpoint = ref_end = trajectory.endpoint
-    else:
-        if reference is None:
-            reference = run_serial(schedule, growth_params, micro_params,
-                                   macro0, micro0)
-        ref_end = reference.endpoint
-        engine = PararealEngine(
-            schedule, growth_params, micro_params, macro0, micro0, mode=mode,
-        ).initialize()
-        per_iteration = []
-        converged = False
+        ledger.add_fine_sweep(0, trajectory.cycles[1:], micro_params.n_steps)
+        endpoint = trajectory.endpoint
+        return _report(schedule, mode, stopping, eps_par, 0, True, [], ledger,
+                       endpoint, endpoint, trajectory)
+
+    if reference is None:
+        reference = run_serial(schedule, growth_params, micro_params, macro0, micro0)
+    ref_end = reference.endpoint
+    engine = PararealEngine(schedule, growth_params, micro_params, macro0, micro0,
+                            mode=mode)
+    per_iteration = []
+
+    def report(converged):
+        values = engine.endpoints[stopping]
+        endpoint = values[-1] if values else macro0.functional()
+        return _report(schedule, mode, stopping, eps_par, engine.k, converged,
+                       per_iteration, engine.ledger, endpoint, ref_end,
+                       engine.trajectory())
+
+    try:
+        engine.initialize()
         while engine.k < max_iters:
             engine.iterate()
             values = engine.endpoints[stopping]
@@ -294,24 +342,11 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
                 "stopping_delta": delta,
             })
             if delta <= eps_par:
-                converged = True
-                break
-        ledger, k, trajectory = engine.ledger, engine.k, engine.trajectory()
-        endpoint = values[-1]
-
-    speedup, efficiency = speedup_efficiency(ledger.micro_serial_equivalent,
-                                             schedule.N_l, schedule.P)
-    report = PararealReport(
-        mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=k,
-        converged=converged, stopping=stopping, eps_par=eps_par,
-        per_iteration=per_iteration, ledger=ledger, endpoint=endpoint,
-        reference_endpoint=ref_end, speedup=speedup, efficiency=efficiency,
-        estimated_runtime=estimate_parallel_runtime(ledger),
-        trajectory=trajectory,
+                return report(True)
+    except (ChannelClosureError, MicroNonConvergenceError, ImexStepError) as exc:
+        exc.report = report(False)
+        raise
+    raise PararealNonConvergenceError(
+        f"parareal ({mode}) did not converge within {max_iters} iterations",
+        report=report(False),
     )
-    if not converged:
-        raise PararealNonConvergenceError(
-            f"parareal ({mode}) did not converge within {max_iters} iterations",
-            report=report,
-        )
-    return report

@@ -76,8 +76,8 @@ class Schedule:
 
 
 def _gamma_scalar(gamma_bar) -> float:
-    g = np.asarray(gamma_bar)
-    return float(g) if g.ndim == 0 else float(g.mean())
+    """A row's growth value as one float: itself (ODE) or its interface mean (PDE)."""
+    return gamma_bar if isinstance(gamma_bar, float) else float(gamma_bar.mean())
 
 
 class StepRow(NamedTuple):
@@ -144,72 +144,61 @@ class TrajectoryRecord:
 
 def advance_two_scale(macro, micro, n_steps: int, dt: float,
                       growth_params: growth.GrowthParams,
-                      micro_params: microflow.MicroParams,
-                      ledger=None, process=None):
+                      micro_params: microflow.MicroParams):
     """Advance n_steps of the two-scale loop; the fine propagator.
 
     Returns (macro, micro, steps) where steps holds one ``StepRow`` per
     step; only the end states outlive the call.  Every step solves one
-    micro problem and performs one growth-model update; with a ledger,
-    both are counted here as fine work of ``process``, the micro problem
-    with its cycles.
+    micro problem and performs one growth-model update.  The call counts
+    nothing; ``parareal`` counts each finished sweep from its rows'
+    cycles.
     """
     steps = []
     for _ in range(n_steps):
         sample, micro = microflow.solve_micro_problem(micro, macro, micro_params,
                                                       growth_params)
-        if ledger is not None:
-            ledger.add_micro("fine", sample.cycles_used, micro_params.n_steps, process)
         macro = macro.step(sample.gamma_bar, dt, growth_params)
-        if ledger is not None:
-            ledger.add_rd("fine", process=process)
         steps.append(StepRow(macro.t, macro.observables(), sample.gamma_bar,
                              sample.cycles_used))
     return macro, micro, steps
 
 
 def run_serial(schedule: Schedule, growth_params: growth.GrowthParams,
-               micro_params: microflow.MicroParams, macro0, micro0,
-               ledger=None) -> TrajectoryRecord:
+               micro_params: microflow.MicroParams, macro0, micro0) -> TrajectoryRecord:
     """Serial reference run over all N_l macro steps.
 
     The micro state is warm-started across steps from the quasi-periodic
-    state of the previous one; the ledger counts exactly N_l micro
-    problems.
+    state of the previous one.  The record's ``cycles[1:]`` are the
+    cycles of its N_l micro problems, from which ``parareal.run`` counts
+    the serial run.
     """
     _, _, steps = advance_two_scale(
         macro0, micro0, schedule.N_l, schedule.dt, growth_params, micro_params,
-        ledger=ledger, process=0,
     )
     return TrajectoryRecord.from_steps(macro0, steps)
 
 
 def run_coarse_step(macro, micro, dT: float, mode: str,
                     growth_params: growth.GrowthParams,
-                    micro_params: microflow.MicroParams, ledger=None):
+                    micro_params: microflow.MicroParams):
     """One coarse-propagator step of size dT.
 
-    mode "two_scale" solves one micro problem and counts it (ledger: +1
-    coarse micro with its cycles);
-    mode "heuristic" uses the stationary surrogate instead (+0 micro).
-    Returns (new macro state, new micro state, GrowthSample).
+    mode "two_scale" solves one micro problem; mode "heuristic" uses the
+    stationary surrogate instead, which integrates no cycle.  Returns
+    (new macro state, new micro state, GrowthSample); the caller counts
+    the step from the sample's ``cycles_used``.
     """
     if not dT > 0:
         raise ValueError(f"dT must be positive, got {dT}")
     if mode == "two_scale":
         sample, micro = microflow.solve_micro_problem(micro, macro, micro_params,
                                                       growth_params)
-        if ledger is not None:
-            ledger.add_micro("coarse", sample.cycles_used, micro_params.n_steps)
     elif mode == "heuristic":
         sample = microflow.solve_stationary_surrogate(macro, micro_params, growth_params)
         micro = microflow.MicroState(micro_params.mean_inflow)
     else:
         raise ValueError(f"unknown coarse mode {mode!r}")
-    macro = macro.step(sample.gamma_bar, dT, growth_params)
-    if ledger is not None:
-        ledger.add_rd("coarse")
-    return macro, micro, sample
+    return macro.step(sample.gamma_bar, dT, growth_params), micro, sample
 
 
 def trajectory_to_csv(rec: TrajectoryRecord, path):

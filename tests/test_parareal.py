@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from plaquepar import costs, growth
-from plaquepar.errors import ConfigError, PararealNonConvergenceError
+from plaquepar.errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
+                              PararealNonConvergenceError)
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
 from plaquepar.parareal import PararealEngine, run
-from plaquepar.twoscale import DAY, Schedule, run_serial
+from plaquepar.scenario import preset
+from plaquepar.twoscale import DAY, Schedule, TrajectoryRecord, run_coarse_step, run_serial
 
 GP = GrowthParams()
 MP = MicroParams()
@@ -181,7 +183,11 @@ def test_p_equals_one_degrades_to_serial():
     assert rep.k_par == 0
     assert rep.endpoint == ref.endpoint
     assert rep.speedup == 1.0
-    assert rep.ledger.micro_fine == 50
+    # counted from the record's cycles
+    led = rep.ledger
+    assert led.micro_fine == led.rd_fine == 50
+    assert led.per_process_fsi_steps == [int(rep.trajectory.cycles.sum()) * MP.n_steps]
+    assert led.micro_coarse == led.rd_coarse == led.messages == 0
 
 
 def test_p_larger_than_n_l_rejected():
@@ -256,6 +262,87 @@ def test_initialize_ledger_attribution():
     assert eng_r.ledger.micro_coarse == 4  # re-usage still pays for step (I)
 
 
+def _coarse_cycles(eng, starts):
+    """Cycles of the P two-scale coarse steps from the interval starts, on the
+    master's warm-start chain from micro0."""
+    micro, cycles = eng.micro0, []
+    for p, start in enumerate(starts[:-1]):
+        _, micro, sample = run_coarse_step(start, micro, eng._steps[p] * eng.sched.dt,
+                                           "two_scale", GP, MP)
+        cycles.append(sample.cycles_used)
+    return cycles
+
+
+def test_two_scale_coarse_counts_one_micro_problem():
+    # each two-scale coarse step is one coarse micro problem with its cycles
+    # and one coarse growth solve, in the initialization and in each update
+    sched, m0, w0 = ode_setup(24, 16, 4)
+    eng = PararealEngine(sched, GP, MP, m0, w0, mode="standard").initialize()
+    led = eng.ledger
+    init_cycles = _coarse_cycles(eng, eng.c_bar)
+    assert init_cycles[0] == 3  # the cold start needs a third cycle
+    assert led.micro_coarse == 4 and led.rd_coarse == 4
+    assert led.fsi_steps_coarse == sum(init_cycles) * MP.n_steps
+    assert led.micro_fine == 0 and led.rd_fine == 0
+    eng.iterate()
+    # the update's coarse steps start from the corrected interval values
+    update_cycles = _coarse_cycles(eng, eng.c_bar)
+    assert led.micro_coarse == 8 and led.rd_coarse == 8
+    assert led.fsi_steps_coarse == (sum(init_cycles) + sum(update_cycles)) * MP.n_steps
+
+
+def test_heuristic_coarse_counts_zero_micro_problems():
+    macro, micro, sample = run_coarse_step(
+        ScalarState(0.0), MicroState(0.0), 5 * DAY, "heuristic", GP, MP)
+    assert sample.cycles_used == 0
+    assert macro.c_s == pytest.approx(5 * DAY * 0.8 * GP.alpha, rel=1e-12)
+    assert micro.q == pytest.approx(MP.mean_inflow)
+    sched, m0, w0 = ode_setup(24, 16, 4)
+    eng = PararealEngine(sched, GP, MP, m0, w0, mode="heuristic").initialize()
+    eng.iterate()
+    led = eng.ledger
+    assert led.micro_coarse == 0 and led.fsi_steps_coarse == 0
+    assert led.rd_coarse == 8  # P per coarse sweep
+    assert led.micro_fine == 16
+
+
+def _tally(eng):
+    """Per-process (micro problems, micro time steps, rd solves) of the rows
+    of the latest iteration, split at the interval boundaries."""
+    b = eng.sched.boundaries()
+    rows = [eng.last_steps[b[p]:b[p + 1]] for p in range(eng.sched.P)]
+    return ([len(r) for r in rows],
+            [sum(row.cycles for row in r) * eng.mp.n_steps for r in rows],
+            [len(r) for r in rows])
+
+
+@pytest.mark.parametrize("mode", ["standard", "heuristic", "reusage"])
+@pytest.mark.parametrize("P", [3, 4])
+def test_engine_counts_fine_sweeps_from_rows(mode, P):
+    sched, m0, w0 = ode_setup(17 * 1.5, 17, P)
+    eng = PararealEngine(sched, GP, MP, m0, w0, mode=mode).initialize()
+    eng.iterate()
+    led = eng.ledger
+    micro, steps, rd = _tally(eng)
+    assert micro == sched.interval_steps()  # N_l mod P != 0
+    assert led.per_process_micro == micro
+    assert led.per_process_fsi_steps == steps
+    assert led.per_process_rd == rd
+    assert led.micro_fine == led.rd_fine == 17
+
+
+def test_engine_counts_pde_reusage_sweeps_from_rows():
+    sched = Schedule(17 * DAY, 17, 4)
+    eng = PararealEngine(sched, PDE_GP, PDE_MP, FieldState.zero(SolidGrid(21, 5)),
+                         MicroState(0.0), mode="reusage").initialize()
+    eng.iterate()
+    micro, steps, rd = _tally(eng)
+    led = eng.ledger
+    assert (led.per_process_micro, led.per_process_fsi_steps, led.per_process_rd) == (
+        micro, steps, rd)
+    assert led.micro_coarse == 4 and led.rd_coarse == 4 + 17  # init + re-propagation
+
+
 def test_zero_growth_initialization():
     sched = Schedule(24 * DAY, 16, 4)
     gp0 = GrowthParams(alpha=0.0)
@@ -316,3 +403,69 @@ def test_no_fine_step_state_outlives_its_sweep(monkeypatch, mode):
     # master's coarse steps (one per interval, or all N_l with re-usage)
     assert len(stepped) == 4 + 2 * (16 + (16 if mode == "reusage" else 4))
     assert len(live) > 0 and outliving == 0
+
+
+# --- failures carry the partial report --------------------------------------------------
+
+def _ode_paper(P):
+    """The default ode_paper (300 days, N_l = 1000) at P intervals."""
+    scn = preset("ode_paper", mode="parareal", P=P)
+    return scn.schedule(), scn.growth_params(), scn.micro_params(), *scn.initial_states()
+
+
+@pytest.fixture(scope="module")
+def ode_paper_reference():
+    sched, gp, mp, m0, w0 = _ode_paper(1)
+    return run_serial(sched, gp, mp, m0, w0)
+
+
+def test_channel_closure_in_initialization_carries_report(ode_paper_reference):
+    sched, gp, mp, m0, w0 = _ode_paper(P=10)
+    with pytest.raises(ChannelClosureError) as exc:
+        run(sched, gp, mp, m0, w0, mode="standard", stopping="coarse", eps_par=1e-3,
+            reference=ode_paper_reference)
+    rep = exc.value.report
+    assert not rep.converged and rep.k_par == 0 and rep.per_iteration == []
+    # the coarse steps before the closing one were counted
+    assert 0 < rep.ledger.micro_coarse < 10 and rep.ledger.micro_fine == 0
+    assert rep.ledger.rd_coarse == rep.ledger.micro_coarse
+    assert len(rep.trajectory) == 1 and rep.trajectory.functionals[0] == 0.0
+    assert rep.reference_endpoint == ode_paper_reference.endpoint
+    assert rep.to_dict()["k_par"] == 0
+
+
+def test_channel_closure_in_third_fine_sweep_carries_report(ode_paper_reference):
+    sched, gp, mp, m0, w0 = _ode_paper(P=20)
+    with pytest.raises(ChannelClosureError) as exc:
+        run(sched, gp, mp, m0, w0, mode="reusage", stopping="coarse", eps_par=1e-3,
+            reference=ode_paper_reference)
+    rep = exc.value.report
+    assert not rep.converged and rep.k_par == 2
+    assert [it["k"] for it in rep.per_iteration] == [1, 2]
+    led = rep.ledger
+    # two whole iterations, then the third iteration's finished sweeps
+    assert 2 * 1000 <= led.micro_fine < 3 * 1000 and led.micro_fine == led.rd_fine
+    assert led.micro_coarse == 20 and led.rd_coarse == 20 + 2 * 1000
+    assert len(rep.trajectory) == 1001
+    assert rep.speedup == 1000 / led.micro_serial_equivalent
+
+
+def test_failure_before_any_micro_problem_has_nan_speedup():
+    # a supplied reference, so the engine's first (cold) coarse micro problem is
+    # the first to run, and it needs three cycles of the two allowed
+    sched, m0, w0 = ode_setup(24, 16, 4)
+    strict = MicroParams(max_cycles=2)
+    with pytest.raises(MicroNonConvergenceError) as exc:
+        run(sched, GP, strict, m0, w0, reference=serial_reference(sched))
+    rep = exc.value.report
+    assert rep.k_par == 0 and rep.ledger.micro_total == 0 and rep.ledger.rd_coarse == 0
+    assert np.isnan(rep.speedup) and np.isnan(rep.efficiency)
+    assert rep.endpoint == 0.0
+
+
+@pytest.mark.parametrize("P", [1, 4])
+def test_reference_run_failure_carries_no_report(P):
+    sched, m0, w0 = ode_setup(24, 16, P)
+    with pytest.raises(MicroNonConvergenceError) as exc:
+        run(sched, GP, MicroParams(max_cycles=2), m0, w0)
+    assert exc.value.report is None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from plaquepar.costs import CostLedger
+from plaquepar import parareal
 from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
@@ -15,9 +15,16 @@ GP = GrowthParams()
 MP = MicroParams()
 
 
-def ode_run(t_end_days, n_l, ledger=None, gp=GP):
+def ode_run(t_end_days, n_l, gp=GP):
     sched = Schedule(t_end_days * DAY, n_l, 1)
-    return run_serial(sched, gp, MP, ScalarState(0.0), MicroState(0.0), ledger)
+    return run_serial(sched, gp, MP, ScalarState(0.0), MicroState(0.0))
+
+
+def counted_ode_run(t_end_days, n_l, gp=GP, mp=MP):
+    """The serial run as parareal.run counts it at P = 1: (record, ledger)."""
+    rep = parareal.run(Schedule(t_end_days * DAY, n_l, 1), gp, mp, ScalarState(0.0),
+                       MicroState(0.0))
+    return rep.trajectory, rep.ledger
 
 
 # --- schedule ----------------------------------------------------------------
@@ -74,8 +81,7 @@ def test_parameter_types_reject_infinity(cls, field):
 @pytest.mark.parametrize("field", [{"delta_tau": 0.01}])
 def test_micro_grid_comes_from_micro_params(field):
     mp = MicroParams(**field)
-    led = CostLedger(1)
-    rec = run_serial(Schedule(3 * DAY, 10), GP, mp, ScalarState(0.0), MicroState(0.0), led)
+    rec, led = counted_ode_run(3, 10, mp=mp)
     assert mp.n_steps == 100
     assert led.per_process_fsi_steps == [int(rec.cycles.sum()) * 100]
 
@@ -83,15 +89,13 @@ def test_micro_grid_comes_from_micro_params(field):
 # --- serial run ---------------------------------------------------------------
 
 def test_zero_growth_rate_keeps_concentration_zero():
-    led = CostLedger(1)
-    rec = ode_run(30, 50, led, gp=GrowthParams(alpha=0.0))
+    rec, led = counted_ode_run(30, 50, gp=GrowthParams(alpha=0.0))
     assert np.all(rec.functionals == 0.0)
     assert led.micro_fine == 50  # micro problems still solved
 
 
 def test_ledger_counts_n_l_micro_problems():
-    led = CostLedger(1)
-    ode_run(30, 100, led)
+    _, led = counted_ode_run(30, 100)
     assert led.micro_fine == 100
     assert led.micro_coarse == 0
     assert led.rd_fine == 100
@@ -99,8 +103,7 @@ def test_ledger_counts_n_l_micro_problems():
 
 def test_reference_run_counts_thousand_micro_problems():
     # the serial reference column: N_l = 1000 micro problems
-    led = CostLedger(1)
-    ode_run(300, 1000, led)
+    _, led = counted_ode_run(300, 1000)
     assert led.micro_fine == 1000
 
 
@@ -156,8 +159,8 @@ def test_pde_serial_smoke():
     gp = GrowthParams(alpha=5e-8)
     mp = MicroParams(inflow_offset=1.0)
     sched = Schedule(20 * DAY, 20, 1)
-    led = CostLedger(1)
-    rec = run_serial(sched, gp, mp, FieldState.zero(grid), MicroState(0.0), led)
+    rep = parareal.run(sched, gp, mp, FieldState.zero(grid), MicroState(0.0))
+    rec, led = rep.trajectory, rep.ledger
     assert led.micro_fine == 20 and led.rd_fine == 20
     assert rec.columns == ("c_mid", "c_mean")
     assert rec.functionals[-1] > 0
@@ -166,26 +169,6 @@ def test_pde_serial_smoke():
 
 
 # --- coarse step -----------------------------------------------------------------
-
-def test_heuristic_coarse_counts_zero_micro_problems():
-    led = CostLedger(1)
-    macro, micro, sample = run_coarse_step(
-        ScalarState(0.0), MicroState(0.0), 5 * DAY, "heuristic", GP, MP,
-        ledger=led)
-    assert led.micro_total == 0
-    assert led.rd_coarse == 1
-    assert sample.cycles_used == 0
-    assert macro.c_s == pytest.approx(5 * DAY * 0.8 * GP.alpha, rel=1e-12)
-    assert micro.q == pytest.approx(MP.mean_inflow)
-
-
-def test_two_scale_coarse_counts_one_micro_problem():
-    led = CostLedger(1)
-    run_coarse_step(ScalarState(0.0), MicroState(0.0), 5 * DAY, "two_scale",
-                    GP, MP, ledger=led)
-    assert led.micro_coarse == 1 and led.micro_fine == 0
-    assert led.rd_coarse == 1
-
 
 def test_coincident_grids_match_serial_step():
     # dT = dt reproduces one run_serial step bit for bit
@@ -205,28 +188,6 @@ def test_unknown_coarse_mode():
     for dT in (0.0, float("nan")):
         with pytest.raises(ValueError, match="dT"):
             run_coarse_step(ScalarState(0.0), MicroState(0.0), dT, "two_scale", GP, MP)
-
-
-def test_propagators_count_micro_problems_at_their_level():
-    led = CostLedger(2)
-    _, _, steps = advance_two_scale(ScalarState(0.0), MicroState(0.0), 3, DAY,
-                                    GP, MP, ledger=led, process=1)
-    assert led.micro_fine == 3 and led.per_process_micro == [0, 3]
-    assert led.rd_fine == 3 and led.per_process_rd == [0, 3]
-    cycles = sum(row.cycles for row in steps)
-    assert led.per_process_fsi_steps == [0, cycles * MP.n_steps]
-    assert led.micro_coarse == 0 and led.rd_coarse == 0
-
-    coarse = CostLedger(1)
-    _, _, sample = run_coarse_step(ScalarState(0.0), MicroState(0.0), 5 * DAY,
-                                   "two_scale", GP, MP, ledger=coarse)
-    assert coarse.micro_coarse == 1 and coarse.micro_fine == 0
-    assert coarse.fsi_steps_coarse == sample.cycles_used * MP.n_steps
-
-    heuristic = CostLedger(1)
-    run_coarse_step(ScalarState(0.0), MicroState(0.0), 5 * DAY, "heuristic",
-                    GP, MP, ledger=heuristic)
-    assert heuristic.micro_total == 0 and heuristic.fsi_steps_coarse == 0
 
 
 # --- csv --------------------------------------------------------------------------
