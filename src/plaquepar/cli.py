@@ -139,7 +139,7 @@ def _cmd_sweep(args) -> int:
                 failed = True
                 print(f"P={scn.P}: FAILED ({exc})", file=sys.stderr)
     if not columns:
-        raise ConfigError("all sweep columns failed; nothing to report")
+        raise RunError("all sweep columns failed; nothing to report")
     table = costs.format_sweep_table(columns, base.N_l)
     out_dir = Path(base.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

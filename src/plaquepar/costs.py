@@ -105,44 +105,27 @@ T_RD = 0.01
 class CostLedger:
     """Thread-safe counters for micro problems and growth-model solves.
 
-    Fine-level work is attributed to a process index so that parallel
-    runtimes (max over processes) and serial-equivalent counts can be
-    derived after the run.  Increments are commutative, which keeps
-    totals independent of the worker scheduling.  The propagators count
-    nothing: ``parareal.run`` and its engine fill the ledger, one
-    ``add_fine_sweep`` per finished fine sweep (from the sweep's
-    ``StepRow`` cycles) and one ``add_micro``/``add_rd`` per coarse step.
+    One call per counted event: ``add_fine_sweep`` per finished fine
+    sweep, ``add_coarse_step`` per coarse step, ``add_message`` per batch
+    of messages; every total is derived from these.  Fine work is
+    attributed to its process, so that parallel runtimes (max over
+    processes) and serial-equivalent counts can be derived after the
+    run; each fine step is one micro problem plus one growth-model solve.
+    Increments are commutative, which keeps totals independent of the
+    worker scheduling.  ``parareal.run`` and its engine fill the ledger;
+    the propagators count nothing.
     """
 
     def __init__(self, n_processes: int = 1):
         if n_processes < 1:
             raise ValueError(f"need at least one process, got {n_processes}")
         self._lock = threading.Lock()
-        self.n_processes = n_processes
-        self.micro_fine = 0
-        self.micro_coarse = 0
-        self.rd_fine = 0
-        self.rd_coarse = 0
-        self.messages = 0
         self.per_process_micro = [0] * n_processes
         self.per_process_fsi_steps = [0] * n_processes
-        self.per_process_rd = [0] * n_processes
+        self.micro_coarse = 0
         self.fsi_steps_coarse = 0
-
-    def add_micro(self, level: str, cycles: int, n_steps: int, process=None):
-        """Count one micro problem of `cycles` cycles with n_steps steps each."""
-        steps = cycles * n_steps
-        with self._lock:
-            if level == "fine":
-                p = 0 if process is None else process
-                self.micro_fine += 1
-                self.per_process_micro[p] += 1
-                self.per_process_fsi_steps[p] += steps
-            elif level == "coarse":
-                self.micro_coarse += 1
-                self.fsi_steps_coarse += steps
-            else:
-                raise ValueError(f"unknown level {level!r}")
+        self.rd_coarse = 0
+        self.messages = 0
 
     def add_fine_sweep(self, process: int, cycles, n_steps: int):
         """Count one finished fine sweep of ``process`` from its per-step cycle counts.
@@ -153,26 +136,34 @@ class CostLedger:
         n = len(cycles)
         steps = int(sum(cycles)) * n_steps
         with self._lock:
-            self.micro_fine += n
             self.per_process_micro[process] += n
             self.per_process_fsi_steps[process] += steps
-            self.rd_fine += n
-            self.per_process_rd[process] += n
 
-    def add_rd(self, level: str, process=None):
-        """Count one growth-model solve (ODE update or IMEX step)."""
+    def add_coarse_step(self, cycles: int, n_steps: int):
+        """Count one coarse growth-model solve, after a micro problem of
+        ``cycles`` cycles with n_steps steps each; 0 cycles means the step
+        solved none (stationary surrogate, re-usage re-propagation)."""
         with self._lock:
-            if level == "fine":
-                self.rd_fine += 1
-                self.per_process_rd[0 if process is None else process] += 1
-            elif level == "coarse":
-                self.rd_coarse += 1
-            else:
-                raise ValueError(f"unknown level {level!r}")
+            self.rd_coarse += 1
+            if cycles > 0:
+                self.micro_coarse += 1
+                self.fsi_steps_coarse += cycles * n_steps
 
     def add_message(self, n: int = 1):
         with self._lock:
             self.messages += n
+
+    @property
+    def micro_fine(self) -> int:
+        return sum(self.per_process_micro)
+
+    @property
+    def rd_fine(self) -> int:
+        return self.micro_fine
+
+    @property
+    def per_process_rd(self) -> list:
+        return list(self.per_process_micro)
 
     @property
     def micro_total(self) -> int:

@@ -16,10 +16,12 @@ Modes:
 The P fine sweeps of one iteration are independent; the paper runs them
 on P processes, and the engine runs them one after another in interval
 order in the calling thread, counting the same micro problems, growth
-solves and messages per process.  The engine does all cost counting:
-once per finished fine sweep, from the cycles of the ``StepRow``s that
-``advance_two_scale`` returns, and once per coarse step, from the
-``GrowthSample`` of ``run_coarse_step``; the propagators count nothing.
+solves and messages per process.  The engine does all cost counting,
+one ledger call per event: ``add_fine_sweep`` per finished fine sweep,
+from the cycles of the ``StepRow``s that ``advance_two_scale`` returns,
+and ``add_coarse_step`` per coarse step, with the cycles of the
+``GrowthSample`` of ``run_coarse_step`` (0 for the stationary surrogate
+and for the re-usage master's steps); the propagators count nothing.
 Warm starts follow the written algorithms: standard/heuristic sweeps
 reuse the interval's initialization micro state on the same process
 each iteration, while re-usage passes the micro state of the
@@ -110,9 +112,7 @@ class PararealEngine:
                 values[p], micro[p], self._steps[p] * self.sched.dt, self._coarse_kind,
                 self.gp, self.mp,
             )
-            if self._coarse_kind == "two_scale":  # the stationary surrogate is free
-                self.ledger.add_micro("coarse", sample.cycles_used, self._n_s)
-            self.ledger.add_rd("coarse")
+            self.ledger.add_coarse_step(sample.cycles_used, self._n_s)
             values.append(c if fine_ends is None
                           else c.combine(fine_ends[p], self.c_coarse[p]))
             micro.append(w)
@@ -189,7 +189,7 @@ class PararealEngine:
         for p in range(P):
             for j in range(self._bounds[p], self._bounds[p + 1]):
                 c = c.step(stored[j], self.sched.dt, self.gp)
-                self.ledger.add_rd("coarse")
+                self.ledger.add_coarse_step(0, self._n_s)
             new_c.append(c)
         return new_c
 
@@ -205,7 +205,12 @@ class PararealEngine:
 
 @dataclass
 class PararealReport:
-    """Outcome of a parareal run, serializable for report.json."""
+    """Outcome of a parareal run, serializable for report.json.
+
+    ``speedup``, ``efficiency`` and ``estimated_runtime`` are derived
+    from ``ledger``, ``N_l`` and ``P``; speedup and efficiency are NaN
+    while no micro problem has been counted.
+    """
 
     mode: str
     P: int
@@ -218,10 +223,20 @@ class PararealReport:
     ledger: CostLedger
     endpoint: float
     reference_endpoint: float
-    speedup: float
-    efficiency: float
-    estimated_runtime: float
     trajectory: TrajectoryRecord
+
+    @property
+    def speedup(self) -> float:
+        count = self.ledger.micro_serial_equivalent
+        return speedup_efficiency(count, self.N_l, self.P)[0] if count else math.nan
+
+    @property
+    def efficiency(self) -> float:
+        return self.speedup / self.P
+
+    @property
+    def estimated_runtime(self) -> float:
+        return estimate_parallel_runtime(self.ledger)
 
     def to_dict(self) -> dict:
         led = self.ledger
@@ -247,24 +262,6 @@ class PararealReport:
             "endpoint": self.endpoint,
             "reference_endpoint": self.reference_endpoint,
         }
-
-
-def _report(schedule: Schedule, mode: str, stopping: str, eps_par: float, k: int,
-            converged: bool, per_iteration: list, ledger: CostLedger, endpoint: float,
-            reference_endpoint: float, trajectory: TrajectoryRecord) -> PararealReport:
-    """The report of a finished or failed run; speedup and efficiency are NaN
-    while no micro problem has been counted."""
-    count = ledger.micro_serial_equivalent
-    speedup, efficiency = (speedup_efficiency(count, schedule.N_l, schedule.P) if count
-                           else (math.nan, math.nan))
-    return PararealReport(
-        mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=k,
-        converged=converged, stopping=stopping, eps_par=eps_par,
-        per_iteration=per_iteration, ledger=ledger, endpoint=endpoint,
-        reference_endpoint=reference_endpoint, speedup=speedup, efficiency=efficiency,
-        estimated_runtime=estimate_parallel_runtime(ledger),
-        trajectory=trajectory,
-    )
 
 
 def run(schedule: Schedule, growth_params: growth.GrowthParams,
@@ -312,36 +309,37 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         ledger = CostLedger(1)
         ledger.add_fine_sweep(0, trajectory.cycles[1:], micro_params.n_steps)
         endpoint = trajectory.endpoint
-        return _report(schedule, mode, stopping, eps_par, 0, True, [], ledger,
-                       endpoint, endpoint, trajectory)
+        return PararealReport(
+            mode=mode, P=1, N_l=schedule.N_l, k_par=0, converged=True, stopping=stopping,
+            eps_par=eps_par, per_iteration=[], ledger=ledger, endpoint=endpoint,
+            reference_endpoint=endpoint, trajectory=trajectory)
 
     if reference is None:
         reference = run_serial(schedule, growth_params, micro_params, macro0, micro0)
     ref_end = reference.endpoint
     engine = PararealEngine(schedule, growth_params, micro_params, macro0, micro0,
                             mode=mode)
-    per_iteration = []
 
     def report(converged):
+        fine, coarse = engine.endpoints["fine"], engine.endpoints["coarse"]
         values = engine.endpoints[stopping]
+        per_iteration = [{"k": k,
+                          "fine_error": abs(fine[k] - ref_end),
+                          "coarse_error": abs(coarse[k] - ref_end),
+                          "stopping_delta": abs(values[k] - values[k - 1])}
+                         for k in range(1, engine.k + 1)]
         endpoint = values[-1] if values else macro0.functional()
-        return _report(schedule, mode, stopping, eps_par, engine.k, converged,
-                       per_iteration, engine.ledger, endpoint, ref_end,
-                       engine.trajectory())
+        return PararealReport(
+            mode=mode, P=schedule.P, N_l=schedule.N_l, k_par=engine.k, converged=converged,
+            stopping=stopping, eps_par=eps_par, per_iteration=per_iteration,
+            ledger=engine.ledger, endpoint=endpoint, reference_endpoint=ref_end,
+            trajectory=engine.trajectory())
 
     try:
         engine.initialize()
         while engine.k < max_iters:
-            engine.iterate()
-            values = engine.endpoints[stopping]
-            delta = abs(values[-1] - values[-2])
-            per_iteration.append({
-                "k": engine.k,
-                "fine_error": abs(engine.endpoints["fine"][-1] - ref_end),
-                "coarse_error": abs(engine.endpoints["coarse"][-1] - ref_end),
-                "stopping_delta": delta,
-            })
-            if delta <= eps_par:
+            values = engine.iterate().endpoints[stopping]
+            if abs(values[-1] - values[-2]) <= eps_par:
                 return report(True)
     except (ChannelClosureError, MicroNonConvergenceError, ImexStepError) as exc:
         exc.report = report(False)

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from plaquepar.costs import (CostLedger, count_heuristic,
+from plaquepar.costs import (T_RD, CostLedger, count_heuristic,
                              count_rd_reusage, count_reusage, count_standard,
                              estimate_parallel_runtime, format_sweep_table,
                              optimal_processes, ratio_bound,
@@ -117,30 +117,29 @@ def test_measured_recombination():
 
 
 def test_balanced_synthetic_runtime_identity():
-    # uniform cost per micro problem (2 cycles of 50 steps at unit step cost):
-    # estimate = 100 ((k+1)P + k ceil(N_l/P))
+    # uniform cost per fine or coarse step (2 cycles of 50 steps at unit step
+    # cost plus one growth solve): estimate = (100 + T_RD) ((k+1)P + k ceil(N_l/P))
     k, P, n_l = 3, 4, 40
     led = CostLedger(P)
     for _ in range(k):
         for p in range(P):
-            for _ in range(n_l // P):
-                led.add_micro("fine", cycles=2, n_steps=50, process=p)
+            led.add_fine_sweep(p, [2] * (n_l // P), 50)
         for _ in range(P):
-            led.add_micro("coarse", cycles=2, n_steps=50)
+            led.add_coarse_step(2, 50)
     for _ in range(P):  # initialization sweep
-        led.add_micro("coarse", cycles=2, n_steps=50)
+        led.add_coarse_step(2, 50)
     est = estimate_parallel_runtime(led)
-    assert est == pytest.approx(100.0 * ((k + 1) * P + k * (n_l // P)))
+    assert est == pytest.approx((100.0 + T_RD) * ((k + 1) * P + k * (n_l // P)))
 
 
 def test_unit_step_cost_counts_cycles():
     led = CostLedger(1)
-    led.add_micro("fine", cycles=3, n_steps=50, process=0)
-    led.add_micro("coarse", cycles=2, n_steps=50)
-    # one unit per micro step
-    assert led.synthetic_time_fine_max() == 150.0
-    assert led.synthetic_time_coarse() == 100.0
-    assert estimate_parallel_runtime(led) == 250.0
+    led.add_fine_sweep(0, [3], 50)
+    led.add_coarse_step(2, 50)
+    # one unit per micro step, T_RD per growth solve
+    assert led.synthetic_time_fine_max() == 150.0 + T_RD
+    assert led.synthetic_time_coarse() == 100.0 + T_RD
+    assert estimate_parallel_runtime(led) == (100.0 + T_RD) + (150.0 + T_RD)
     assert estimate_parallel_runtime(CostLedger(1)) == 0.0
 
 
@@ -148,17 +147,20 @@ def test_unit_step_cost_counts_cycles():
 
 def test_ledger_totals_and_serial_equivalent():
     led = CostLedger(3)
-    led.add_micro("fine", cycles=2, n_steps=50, process=0)
-    led.add_micro("fine", cycles=2, n_steps=50, process=2)
-    led.add_micro("fine", cycles=3, n_steps=50, process=2)
-    led.add_micro("coarse", cycles=2, n_steps=50)
-    led.add_rd("fine", process=1)
-    led.add_rd("coarse")
+    led.add_fine_sweep(0, [2], 50)
+    led.add_fine_sweep(2, [2, 3], 50)
+    led.add_coarse_step(2, 50)
+    led.add_coarse_step(0, 50)  # a coarse growth solve without a micro problem
     assert led.micro_fine == 3
     assert led.per_process_micro == [1, 0, 2]
     assert sum(led.per_process_micro) == led.micro_fine
+    assert led.per_process_fsi_steps == [100, 0, 250]
+    assert led.micro_coarse == 1 and led.fsi_steps_coarse == 100
     assert led.micro_serial_equivalent == 2 + 1
-    assert led.rd_serial_equivalent == 1 + 1
+    # every fine step is one micro problem plus one growth solve
+    assert led.rd_fine == 3 and led.per_process_rd == [1, 0, 2]
+    assert led.rd_coarse == 2
+    assert led.rd_serial_equivalent == 2 + 2
 
 
 def test_ledger_thread_safety():
@@ -166,25 +168,24 @@ def test_ledger_thread_safety():
 
     def work(p):
         for _ in range(500):
-            led.add_micro("fine", cycles=2, n_steps=50, process=p)
-            led.add_rd("fine", process=p)
+            led.add_fine_sweep(p, [2], 50)
+            led.add_coarse_step(2, 50)
+            led.add_message()
 
     threads = [threading.Thread(target=work, args=(p,)) for p in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
     assert led.micro_fine == 2000
     assert led.per_process_micro == [500] * 4
     assert led.rd_fine == 2000
+    assert led.micro_coarse == led.rd_coarse == led.messages == 2000
+    assert led.fsi_steps_coarse == 2000 * 100
 
 
 def test_ledger_validation():
-    led = CostLedger(1)
-    with pytest.raises(ValueError):
-        led.add_micro("bogus", cycles=2, n_steps=50)
-    with pytest.raises(ValueError):
-        led.add_rd("bogus")
     with pytest.raises(ValueError):
         CostLedger(0)
 

@@ -199,8 +199,10 @@ def test_stationary_offset_variant():
 def test_stationary_counts_no_micro_problem():
     from plaquepar.costs import CostLedger
     led = CostLedger(1)
-    solve_stationary_surrogate(ScalarState(0.0), MP, GP)
-    assert led.micro_fine == 0 and led.micro_coarse == 0
+    sample = solve_stationary_surrogate(ScalarState(0.0), MP, GP)
+    led.add_coarse_step(sample.cycles_used, MP.n_steps)
+    assert (led.rd_coarse, led.micro_coarse, led.fsi_steps_coarse) == (1, 0, 0)
+    assert led.micro_total == 0
 
 
 # --- half-width law -----------------------------------------------------------

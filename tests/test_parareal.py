@@ -331,6 +331,27 @@ def test_engine_counts_fine_sweeps_from_rows(mode, P):
     assert led.micro_fine == led.rd_fine == 17
 
 
+@pytest.mark.parametrize("mode", ["standard", "heuristic", "reusage"])
+@pytest.mark.parametrize("P", [3, 4])
+def test_engine_counts_match_closed_forms(mode, P):
+    # per iteration: P fine endpoints (standard, heuristic) or P stored growth
+    # values plus P neighbor micro states (re-usage) to the master, then P
+    # broadcast interval starts; the re-usage master re-runs all N_l steps
+    n_l = 17
+    sched, m0, w0 = ode_setup(n_l * 1.5, n_l, P)
+    eng = PararealEngine(sched, GP, MP, m0, w0, mode=mode).initialize()
+    for k in (1, 2):
+        eng.iterate()
+        led = eng.ledger
+        expected = {
+            "standard": (2 * k * P, (k + 1) * P, (k + 1) * P),
+            "heuristic": (2 * k * P, (k + 1) * P, 0),
+            "reusage": (3 * k * P, P + k * n_l, P),
+        }[mode]
+        assert (led.messages, led.rd_coarse, led.micro_coarse) == expected
+        assert led.micro_fine == led.rd_fine == k * n_l
+
+
 def test_engine_counts_pde_reusage_sweeps_from_rows():
     sched = Schedule(17 * DAY, 17, 4)
     eng = PararealEngine(sched, PDE_GP, PDE_MP, FieldState.zero(SolidGrid(21, 5)),
@@ -419,6 +440,12 @@ def ode_paper_reference():
     return run_serial(sched, gp, mp, m0, w0)
 
 
+def _partial_counts(rep):
+    """(micro_coarse, rd_coarse, micro_fine, messages) of a report's ledger."""
+    led = rep.ledger
+    return led.micro_coarse, led.rd_coarse, led.micro_fine, led.messages
+
+
 def test_channel_closure_in_initialization_carries_report(ode_paper_reference):
     sched, gp, mp, m0, w0 = _ode_paper(P=10)
     with pytest.raises(ChannelClosureError) as exc:
@@ -429,6 +456,7 @@ def test_channel_closure_in_initialization_carries_report(ode_paper_reference):
     # the coarse steps before the closing one were counted
     assert 0 < rep.ledger.micro_coarse < 10 and rep.ledger.micro_fine == 0
     assert rep.ledger.rd_coarse == rep.ledger.micro_coarse
+    assert _partial_counts(rep) == (1, 1, 0, 0)
     assert len(rep.trajectory) == 1 and rep.trajectory.functionals[0] == 0.0
     assert rep.reference_endpoint == ode_paper_reference.endpoint
     assert rep.to_dict()["k_par"] == 0
@@ -446,8 +474,22 @@ def test_channel_closure_in_third_fine_sweep_carries_report(ode_paper_reference)
     # two whole iterations, then the third iteration's finished sweeps
     assert 2 * 1000 <= led.micro_fine < 3 * 1000 and led.micro_fine == led.rd_fine
     assert led.micro_coarse == 20 and led.rd_coarse == 20 + 2 * 1000
+    assert _partial_counts(rep) == (20, 2020, 2350, 120)
     assert len(rep.trajectory) == 1001
     assert rep.speedup == 1000 / led.micro_serial_equivalent
+
+
+def test_channel_closure_in_first_master_update_carries_report(ode_paper_reference):
+    sched, gp, mp, m0, w0 = _ode_paper(P=20)
+    with pytest.raises(ChannelClosureError) as exc:
+        run(sched, gp, mp, m0, w0, mode="heuristic", stopping="coarse", eps_par=1e-3,
+            reference=ode_paper_reference)
+    rep = exc.value.report
+    assert not rep.converged and rep.k_par == 0 and rep.per_iteration == []
+    # the initialization, all fine sweeps of the first iteration, the fine
+    # endpoints sent to the master and its coarse steps before the closing one
+    assert _partial_counts(rep) == (0, 35, 1000, 20)
+    assert rep.speedup == 1000 / rep.ledger.micro_serial_equivalent
 
 
 def test_failure_before_any_micro_problem_has_nan_speedup():

@@ -397,6 +397,17 @@ def test_cli_sweep_reports_imex_failure_per_column(tmp_path, capsys):
     assert "P=10" in header and "P=2" not in header
 
 
+def test_cli_sweep_with_every_column_failed_is_a_run_failure(tmp_path, capsys):
+    # default ode_paper at P = 10 closes the channel in its initialization sweep
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", "ode_paper", "--P", "10", "--stopping", "coarse",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("P=10: FAILED (channel half-width")
+    assert err[1] == "run failed: all sweep columns failed; nothing to report"
+    assert not out.exists()
+
+
 def test_cli_missing_scenario_file(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 1
 
