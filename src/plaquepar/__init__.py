@@ -8,6 +8,23 @@ accounted in micro problems and growth-model solves, with a synthetic
 parallel-runtime model.
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts one thread per core when it loads, which costs
+# more start-up time than the package's small matrix products ever win
+# back.  Load numpy with one thread unless the caller chose a thread
+# count or imported numpy first, then drop the variable again so that
+# os.environ and child processes see the caller's environment.
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from . import costs, growth, microflow, parareal, scenario, twoscale
 from .costs import (CostLedger, count_heuristic,
                     count_reusage, count_rd_reusage, count_standard,

@@ -137,9 +137,8 @@ def _cmd_sweep(args) -> int:
                 columns.append(_column(_run(scn, reference)))
             except RunError as exc:
                 failed = True
+                columns.append({"P": scn.P, "errors": [], "failed": type(exc).__name__})
                 print(f"P={scn.P}: FAILED ({exc})", file=sys.stderr)
-    if not columns:
-        raise RunError("all sweep columns failed; nothing to report")
     table = costs.format_sweep_table(columns, base.N_l)
     out_dir = Path(base.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -216,7 +216,11 @@ def _fmt(v):
 
 
 def _sweep_rows(columns):
-    """Shared row layout of the sweep table: iterations block + footer."""
+    """Shared row layout of the sweep table: iterations block + footer.
+
+    A failed column has no errors and shows its "failed" entry, the
+    error type name, in every footer row; it is never the best.
+    """
     max_iters = max(len(c["errors"]) for c in columns)
     rows = []
     for k in range(max_iters):
@@ -224,11 +228,11 @@ def _sweep_rows(columns):
         rows.append((str(k + 1), cells, None))
     for key, label in (("mp", "# mp"), ("speedup", "speedup"),
                        ("efficiency", "efficiency"), ("runtime", "est. runtime")):
-        if all(c.get(key) is None for c in columns):
+        vals = [c.get("failed", c.get(key)) for c in columns]
+        if all(v is None for v in vals):
             continue
-        vals = [c.get(key) for c in columns]
         best = None
-        numeric = [(i, v) for i, v in enumerate(vals) if v is not None]
+        numeric = [(i, c[key]) for i, c in enumerate(columns) if c.get(key) is not None]
         if len(numeric) > 1:
             pick = min if key in ("mp", "runtime") else max
             best = pick(numeric, key=lambda t: t[1])[0]
@@ -240,10 +244,12 @@ def format_sweep_table(columns, n_l: int) -> str:
     """Aligned-text table over P: error rows per iteration, cost footer.
 
     ``columns`` is a list of dicts with keys P, errors (list per
-    iteration), mp, speedup, efficiency and optionally runtime; the best
-    footer entry per row is marked with ``*`` (the paper prints it
-    bold).  The last column is the serial reference of ``n_l`` micro
-    problems, speedup 1 and efficiency 1.
+    iteration), mp, speedup, efficiency and optionally runtime, or, for
+    a run that failed, P, errors (empty) and failed (the error type
+    name, shown in each footer cell); the best footer entry per row is
+    marked with ``*`` (the paper prints it bold).  The last column is
+    the serial reference of ``n_l`` micro problems, speedup 1 and
+    efficiency 1.
     """
     reference = {"# mp": n_l, "speedup": 1.0, "efficiency": 1.0}
     header = ["k"] + [f"P={c['P']}" for c in columns] + ["ref. (serial)"]
@@ -252,7 +258,7 @@ def format_sweep_table(columns, n_l: int) -> str:
         row = [label]
         for i, v in enumerate(cells):
             mark = "*" if best is not None and i == best else ""
-            if label == "efficiency" and v is not None:
+            if label == "efficiency" and isinstance(v, float):
                 row.append(f"{100.0 * v:.0f}%" + mark)
             else:
                 row.append(_fmt(v) + mark)
@@ -266,6 +272,14 @@ def format_sweep_table(columns, n_l: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return repr(v if isinstance(v, int) else float(v))
+
+
 def sweep_table_csv(columns) -> str:
     """CSV version of the sweep table with an explicit best-marker field."""
     lines = ["row," + ",".join(f"P={c['P']}" for c in columns) + ",best"]
@@ -273,8 +287,7 @@ def sweep_table_csv(columns) -> str:
         marker = f"P={columns[best]['P']}" if best is not None else ""
         lines.append(
             label.replace(" ", "_") + ","
-            + ",".join("" if v is None else repr(v if isinstance(v, int) else float(v))
-                       for v in cells)
+            + ",".join(_csv_cell(v) for v in cells)
             + f",{marker}"
         )
     return "\n".join(lines) + "\n"

@@ -214,6 +214,36 @@ def test_format_sweep_table_marks_best():
     assert [line.split()[-1] for line in lines[2:]] == ["-", "-", "1000", "1", "1"]
 
 
+def test_failed_column_is_a_marked_cell_and_never_best():
+    columns = _columns()
+    failed = {"P": 20, "errors": [], "failed": "ChannelClosureError"}
+    columns.insert(1, failed)
+    lines = format_sweep_table(columns, 1000).splitlines()
+    assert lines[0].split()[1:4] == ["P=10", "P=20", "P=30"]
+    # the three columns' cells, before the serial reference's
+    assert {line.split()[0]: line.split()[-4:-1] for line in lines[2:]} == {
+        "1": ["0.0221", "-", "0.00812"],
+        "2": ["0.00224", "-", "-"],
+        "#": ["450", "ChannelClosureError", "222*"],
+        "speedup": ["2.2", "ChannelClosureError", "4.5*"],
+        "efficiency": ["22%*", "ChannelClosureError", "15%"],
+        "est.": ["-", "ChannelClosureError", "-"],
+    }
+    csv = sweep_table_csv(columns).splitlines()
+    assert csv[0] == "row,P=10,P=20,P=30,best"
+    assert csv[1:] == [
+        "1,0.0221,,0.00812,",
+        "2,0.00224,,,",
+        "#_mp,450,ChannelClosureError,222,P=30",
+        "speedup,2.2,ChannelClosureError,4.5,P=30",
+        "efficiency,0.22,ChannelClosureError,0.15,P=10",
+        "est._runtime,,ChannelClosureError,,",
+    ]
+    # the only column that ran is not marked best
+    alone = sweep_table_csv([failed, columns[0]]).splitlines()
+    assert all(row.endswith(",") for row in alone[1:])
+
+
 def test_sweep_table_csv_fields():
     csv = sweep_table_csv(_columns())
     lines = csv.strip().splitlines()

@@ -393,19 +393,41 @@ def test_cli_sweep_reports_imex_failure_per_column(tmp_path, capsys):
     assert main(["sweep", "--scenario", path, "--P", "2,10", "--stopping", "coarse"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("P=2: FAILED (IMEX linear solve: the 300-day step")
-    header = (tmp_path / "out" / "table.txt").read_text().splitlines()[0]
-    assert "P=10" in header and "P=2" not in header
+    # the failed column stays, in order, as a marked cell
+    lines = (tmp_path / "out" / "table.txt").read_text().splitlines()
+    assert lines[0].split() == ["k", "P=2", "P=10", "ref.", "(serial)"]
+    footer = [line.split() for line in lines if line.split()[0] in ("#", "speedup")]
+    assert footer[0][2] == "ImexStepError" and footer[1][1] == "ImexStepError"
+    csv_rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert csv_rows[0] == "row,P=2,P=10,best"
+    assert [row.split(",")[1] for row in csv_rows[1:]
+            if not row[0].isdigit()] == ["ImexStepError"] * 4
 
 
 def test_cli_sweep_with_every_column_failed_is_a_run_failure(tmp_path, capsys):
-    # default ode_paper at P = 10 closes the channel in its initialization sweep
+    # heuristic mode on the default ode_paper closes the channel in the
+    # initialization sweep at P = 10 and 20
     out = tmp_path / "sweep"
-    assert main(["sweep", "--scenario", "ode_paper", "--P", "10", "--stopping", "coarse",
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    assert main(["sweep", "--scenario", "ode_paper", "--mode", "heuristic",
+                 "--P", "10,20", "--stopping", "coarse", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2
     assert err[0].startswith("P=10: FAILED (channel half-width")
-    assert err[1] == "run failed: all sweep columns failed; nothing to report"
-    assert not out.exists()
+    assert err[1].startswith("P=20: FAILED (channel half-width")
+    # the table holds both columns as marked cells: no error rows, no best
+    table = (out / "table.txt").read_text()
+    assert captured.out.startswith(table)
+    rows = [line.split() for line in table.splitlines()[2:]]
+    assert [row[-3:-1] for row in rows] == [["ChannelClosureError"] * 2] * 4
+    assert "*" not in table
+    assert (out / "sweep.csv").read_text().splitlines() == [
+        "row,P=10,P=20,best",
+        "#_mp,ChannelClosureError,ChannelClosureError,",
+        "speedup,ChannelClosureError,ChannelClosureError,",
+        "efficiency,ChannelClosureError,ChannelClosureError,",
+        "est._runtime,ChannelClosureError,ChannelClosureError,",
+    ]
 
 
 def test_cli_missing_scenario_file(tmp_path):
