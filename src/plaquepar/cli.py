@@ -21,9 +21,8 @@ from .scenario import MODES, PRESETS, STOPPING, Scenario, parse_scenario, preset
 # scenario mode -> engine mode
 _ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
                 "heuristic": "heuristic"}
-# command-line flag -> scenario field it overrides
-_FLAG_FIELDS = {"mode": "mode", "P": "P", "stopping": "stopping", "threads": "threads",
-                "out": "out_dir"}
+# scenario fields that a command-line flag of the same dest overrides
+_FLAG_FIELDS = ("mode", "P", "stopping", "threads", "out_dir")
 # closed-form micro-problem count of each parareal scenario mode
 _MICRO_COUNT = {"parareal": costs.count_standard, "reusage": costs.count_reusage,
                 "heuristic": costs.count_heuristic}
@@ -32,9 +31,9 @@ _MICRO_COUNT = {"parareal": costs.count_standard, "reusage": costs.count_reusage
 def _scenario(args, **fields) -> Scenario:
     """The --scenario source with the flags given, then ``fields``, applied."""
     data = parse_scenario(args.scenario).to_dict()
-    for flag, field in _FLAG_FIELDS.items():
-        if getattr(args, flag, None) is not None:
-            data[field] = getattr(args, flag)
+    for field in _FLAG_FIELDS:
+        if getattr(args, field, None) is not None:
+            data[field] = getattr(args, field)
     return Scenario.from_dict({**data, **fields})
 
 
@@ -168,28 +167,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute one scenario")
-    run_p.add_argument("--scenario", required=True,
-                       help="scenario JSON path or preset name")
+    # the flags that run and sweep share
+    scenario_p = argparse.ArgumentParser(add_help=False)
+    scenario_p.add_argument("--scenario", required=True,
+                            help="scenario JSON path or preset name")
+    scenario_p.add_argument("--threads", type=int,
+                            help="accepted (>= 1) and recorded in report.json's "
+                                 "wall_clock; fine sweeps run one after another, so it "
+                                 "does not change how a run executes")
+    scenario_p.add_argument("--stopping", choices=STOPPING)
+    scenario_p.add_argument("--out", dest="out_dir", metavar="OUT",
+                            help="output directory")
+
+    run_p = sub.add_parser("run", parents=[scenario_p], help="execute one scenario")
     run_p.add_argument("--mode", choices=MODES)
     run_p.add_argument("--P", type=int, help="number of coarse intervals/processes")
-    run_p.add_argument("--threads", type=int,
-                       help="accepted (>= 1) and recorded in report.json's wall_clock; "
-                            "fine sweeps run one after another, so it does not "
-                            "change how a run executes")
-    run_p.add_argument("--stopping", choices=STOPPING)
-    run_p.add_argument("--out", help="output directory")
     run_p.set_defaults(func=_cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="run one scenario for several P")
-    sweep_p.add_argument("--scenario", required=True)
+    sweep_p = sub.add_parser("sweep", parents=[scenario_p],
+                             help="run one scenario for several P")
     sweep_p.add_argument("--P", required=True, dest="p_list", metavar="P",
                          help="comma-separated process counts")
     sweep_p.add_argument("--mode", choices=[m for m in MODES if m != "serial"])
-    sweep_p.add_argument("--threads", type=int,
-                         help="accepted (>= 1); it does not change how a run executes")
-    sweep_p.add_argument("--stopping", choices=STOPPING)
-    sweep_p.add_argument("--out")
     sweep_p.add_argument("--formula-only", action="store_true",
                          help="emit the cost-model footer only, no live runs")
     sweep_p.add_argument("--kpar", help="iteration counts for --formula-only")

@@ -2,7 +2,7 @@
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent scenario/schedule configuration."""
+    """Invalid or inconsistent configuration, raised by the type that owns the value (exit 2)."""
 
 
 class RunError(RuntimeError):
@@ -29,7 +29,7 @@ class PararealNonConvergenceError(RunError):
     """Parareal iteration did not satisfy its stopping criterion within max_iters."""
 
 
-class GridAlignmentError(ValueError):
+class GridAlignmentError(ConfigError):
     """Requested a grid node (e.g. the interface midpoint) that does not exist."""
 
 

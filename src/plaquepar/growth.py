@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import GridAlignmentError, ImexStepError
+from .errors import ConfigError, GridAlignmentError, ImexStepError
 
 __all__ = [
     "GrowthParams",
@@ -72,15 +72,15 @@ class GrowthParams:
     def __post_init__(self):
         if not 0 <= self.alpha < math.inf:
             # alpha = 0 is allowed as the degenerate no-growth configuration
-            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
+            raise ConfigError(f"alpha must be non-negative and finite, got {self.alpha}")
         for name in ("sigma0", "D_s", "R_s"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if self.reaction_sign not in (1, -1):
-            raise ValueError(f"reaction_sign must be +1 or -1, got {self.reaction_sign}")
+            raise ConfigError(f"reaction_sign must be +1 or -1, got {self.reaction_sign}")
 
 
 class SolidGrid:
@@ -134,11 +134,11 @@ class SolidGrid:
 
 
 def _interface_nodes(nx: int, ny: int) -> np.ndarray:
-    """The x nodes of an nx x ny grid; ValueError when the grid is too small."""
+    """The x nodes of an nx x ny grid; ConfigError when the grid is too small."""
     # ny >= 3 keeps an interior row between the Dirichlet row and the
     # interface, which the ghost elimination couples to
     if nx < 3 or ny < 3:
-        raise ValueError(f"grid needs nx >= 3 and ny >= 3, got {nx} x {ny}")
+        raise ConfigError(f"grid needs nx >= 3 and ny >= 3, got {nx} x {ny}")
     return np.linspace(-5.0, 5.0, nx)
 
 
@@ -153,8 +153,8 @@ def _midpoint_node(x: np.ndarray) -> int:
 def check_grid(nx: int, ny: int):
     """Raise what ``SolidGrid(nx, ny).midpoint_index()`` raises, from the x nodes alone.
 
-    ValueError when the grid is too small, GridAlignmentError when no
-    node lies at x = 0 (even nx); builds none of the grid's eigenbases.
+    ConfigError when the grid is too small or, as GridAlignmentError, when
+    no node lies at x = 0 (even nx); builds none of the grid's eigenbases.
     """
     _midpoint_node(_interface_nodes(nx, ny))
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import growth
-from .errors import ChannelClosureError, MicroNonConvergenceError
+from .errors import ChannelClosureError, ConfigError, MicroNonConvergenceError
 
 __all__ = [
     "MicroParams",
@@ -96,22 +96,22 @@ class MicroParams:
         for name in ("rho_f", "nu_f", "c_geo", "inflow_amplitude", "delta_tau",
                      "h_min", "eps_p"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         if not 0 <= self.lambda_relax < math.inf:
-            raise ValueError(f"lambda_relax must be non-negative and finite, "
-                             f"got {self.lambda_relax}")
+            raise ConfigError(f"lambda_relax must be non-negative and finite, "
+                              f"got {self.lambda_relax}")
         if not (isinstance(self.max_cycles, int) and self.max_cycles >= 2):
-            raise ValueError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
+            raise ConfigError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
         if self.inflow_offset not in (0.0, 1.0, 0, 1):
-            raise ValueError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
+            raise ConfigError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
         if self.delta_tau < 1.0 / _MAX_SAMPLES:
-            raise ValueError(f"delta_tau={self.delta_tau} must be at least "
-                             f"{1.0 / _MAX_SAMPLES:g} (at most {_MAX_SAMPLES} samples "
-                             f"per cycle)")
+            raise ConfigError(f"delta_tau={self.delta_tau} must be at least "
+                              f"{1.0 / _MAX_SAMPLES:g} (at most {_MAX_SAMPLES} samples "
+                              f"per cycle)")
         ns = 1.0 / self.delta_tau
         if not abs(ns - round(ns)) <= 1e-9:
-            raise ValueError(f"delta_tau={self.delta_tau} must divide the 1-s period exactly")
+            raise ConfigError(f"delta_tau={self.delta_tau} must divide the 1-s period exactly")
         tau = self.delta_tau * np.arange(1, self.n_steps + 1)
         orbit, decay = periodic_orbit(tau, self), np.exp(-self.lambda_relax * tau)
         cycle = _CycleData(
@@ -269,8 +269,8 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
 
         max |gamma_bar^r - gamma_bar^{r-1}| / alpha < params.eps_p.
 
-    The closure check runs once, on the full interface; the cycles
-    evaluate WSS and growth on the damage support only (``on_support``).
+    The closure check runs on the full interface, and ``advance_cycle`` repeats it on
+    the damage support, where the cycles evaluate WSS and growth (``on_support``).
     Returns (GrowthSample, final MicroState); the final state serves as
     warm start for the next macro step.  Nothing is counted here: the
     parareal engine counts the micro problem from the sample's

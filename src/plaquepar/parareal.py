@@ -32,11 +32,12 @@ With P=1 ``run`` is the serial two-scale run: it returns the report of
 builds the engine.  That is the only serial path; the CLI's "serial"
 mode goes through it.
 
-A run failure inside the iteration (``ChannelClosureError``,
-``MicroNonConvergenceError``, ``ImexStepError``) leaves ``run`` with the
-partial report attached, as ``PararealNonConvergenceError`` does: the
-completed iterations, the ledger of every completed sweep and coarse
-step, and the latest completed iteration's trajectory.
+A run failure inside the iteration (any ``RunError``, such as
+``ChannelClosureError``, ``MicroNonConvergenceError`` or
+``ImexStepError``) leaves ``run`` with the partial report attached, as
+``PararealNonConvergenceError`` does: the completed iterations, the
+ledger of every completed sweep and coarse step, and the latest
+completed iteration's trajectory.
 """
 
 import dataclasses
@@ -45,8 +46,7 @@ from dataclasses import dataclass
 
 from . import growth, microflow
 from .costs import CostLedger, estimate_parallel_runtime, speedup_efficiency
-from .errors import (ChannelClosureError, ConfigError, ImexStepError,
-                     MicroNonConvergenceError, PararealNonConvergenceError)
+from .errors import ConfigError, PararealNonConvergenceError, RunError
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
@@ -281,8 +281,8 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
 
     Raises ConfigError when a supplied reference does not have N_l + 1
     points ending at T_end, and PararealNonConvergenceError when
-    max_iters is exhausted.  That error, and a ChannelClosureError,
-    MicroNonConvergenceError or ImexStepError raised by the engine,
+    max_iters is exhausted.  That error, and any RunError raised by the
+    engine (ChannelClosureError, MicroNonConvergenceError, ImexStepError),
     carry the partial report (``converged`` False, k_par the completed
     iterations, the last completed iteration's trajectory, or the
     initial state's one-row record before the first).  A failure of the
@@ -341,7 +341,7 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
             values = engine.iterate().endpoints[stopping]
             if abs(values[-1] - values[-2]) <= eps_par:
                 return report(True)
-    except (ChannelClosureError, MicroNonConvergenceError, ImexStepError) as exc:
+    except RunError as exc:
         exc.report = report(False)
         raise
     raise PararealNonConvergenceError(

@@ -38,27 +38,27 @@ class Scenario:
     T_end_days: float = 300.0
     dt_days: float = 0.3
     P: int = 10
-    delta_tau: float = 0.02
-    eps_p: float = 1e-3
+    delta_tau: float = microflow.MicroParams.delta_tau
+    eps_p: float = microflow.MicroParams.eps_p
     eps_par: float = 1e-3
     max_iters: int = 20
-    max_cycles: int = 10
+    max_cycles: int = microflow.MicroParams.max_cycles
     # growth model
-    alpha: float = 5.0e-7
-    sigma0: float = 30.0
-    D_s: float = 1.2e-7
-    R_s: float = 5.0e-7
-    theta: float = 0.7
-    reaction_sign: int = 1
+    alpha: float = growth.GrowthParams.alpha
+    sigma0: float = growth.GrowthParams.sigma0
+    D_s: float = growth.GrowthParams.D_s
+    R_s: float = growth.GrowthParams.R_s
+    theta: float = growth.GrowthParams.theta
+    reaction_sign: int = growth.GrowthParams.reaction_sign
     # micro model
-    rho_f: float = 1.0
-    nu_f: float = 0.04
+    rho_f: float = microflow.MicroParams.rho_f
+    nu_f: float = microflow.MicroParams.nu_f
     rho_s: float = 1.0  # retained for fidelity; unused by the surrogate
-    lambda_relax: float = 9.0
-    c_geo: float = 12.5
-    inflow_amplitude: float = 30.0
-    inflow_offset: float = 0.0
-    h_min: float = 0.05
+    lambda_relax: float = microflow.MicroParams.lambda_relax
+    c_geo: float = microflow.MicroParams.c_geo
+    inflow_amplitude: float = microflow.MicroParams.inflow_amplitude
+    inflow_offset: float = microflow.MicroParams.inflow_offset
+    h_min: float = microflow.MicroParams.h_min
     # grid (PDE model)
     nx: int = 101
     ny: int = 11
@@ -96,18 +96,12 @@ class Scenario:
             raise ConfigError(f"threads must be positive, got {self.threads}")
         if self.rho_s <= 0:
             raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
-        # cross-field validation via the module parameter types, whose
-        # ValueErrors become ConfigErrors so the CLI reports them as such
-        try:
-            self.growth_params()
-            self.micro_params()
-            self.schedule()
-            if self.model == "pde":
-                growth.check_grid(self.nx, self.ny)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # the parameter types check their own fields and raise ConfigError
+        self.growth_params()
+        self.micro_params()
+        self.schedule()
+        if self.model == "pde":
+            growth.check_grid(self.nx, self.ny)
 
     @property
     def N_l(self) -> int:

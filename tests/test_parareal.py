@@ -5,14 +5,15 @@ import weakref
 import numpy as np
 import pytest
 
-from plaquepar import costs, growth
+from plaquepar import costs, growth, parareal
 from plaquepar.errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
-                              PararealNonConvergenceError)
+                              PararealNonConvergenceError, RunError)
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
 from plaquepar.parareal import PararealEngine, run
 from plaquepar.scenario import preset
-from plaquepar.twoscale import DAY, Schedule, TrajectoryRecord, run_coarse_step, run_serial
+from plaquepar.twoscale import (DAY, Schedule, TrajectoryRecord, advance_two_scale,
+                                run_coarse_step, run_serial)
 
 GP = GrowthParams()
 MP = MicroParams()
@@ -490,6 +491,26 @@ def test_channel_closure_in_first_master_update_carries_report(ode_paper_referen
     # endpoints sent to the master and its coarse steps before the closing one
     assert _partial_counts(rep) == (0, 35, 1000, 20)
     assert rep.speedup == 1000 / rep.ledger.micro_serial_equivalent
+
+
+def test_any_run_error_in_the_iteration_carries_report(monkeypatch):
+    class SweepError(RunError):
+        """A run failure of a kind the engine does not name."""
+
+    sweeps = []
+
+    def failing_sweep(*args):
+        sweeps.append(args)
+        if len(sweeps) == 4 + 1:  # the first fine sweep of iteration 2
+            raise SweepError("sweep failed")
+        return advance_two_scale(*args)
+    monkeypatch.setattr(parareal, "advance_two_scale", failing_sweep)
+    sched, m0, w0 = ode_setup(24, 16, 4)
+    with pytest.raises(SweepError) as exc:
+        run(sched, GP, MP, m0, w0, eps_par=1e-15, reference=serial_reference(sched))
+    rep = exc.value.report
+    assert rep.k_par == 1 and rep.converged is False
+    assert len(rep.per_iteration) == 1 and len(rep.trajectory) == 17
 
 
 def test_failure_before_any_micro_problem_has_nan_speedup():

@@ -4,7 +4,10 @@
 1.5-day steps (N_l = 16, P = 4) in each mode and under both stopping
 rules; all eight runs converge.  The test compares sha256 digests of
 ``report.json`` without its ``wall_clock`` block (keys sorted),
-``trajectory.csv`` and ``table.txt`` with the recorded ones.  A change
+``trajectory.csv`` and ``table.txt`` with the recorded ones.  A live
+``plaquepar sweep`` of the full ``ode_paper`` at P = 20, 30, 40, 50
+with coarse stopping pins ``sweep.csv`` and ``table.txt`` the same way;
+it is the benchmark's ``ode_sweep`` input, with the same digests.  A change
 that means to alter these outputs updates the digests below and says so
 in CHANGES.md.  Only the ODE is pinned: the last bits of the PDE go
 through BLAS matrix products, which may round differently elsewhere.
@@ -71,3 +74,18 @@ def test_ode_outputs_are_byte_identical(tmp_path, capsys, mode, stopping):
     assert (_sha256(json.dumps(report, sort_keys=True).encode()),
             _sha256((out / "trajectory.csv").read_bytes()),
             _sha256((out / "table.txt").read_bytes())) == DIGESTS[mode, stopping]
+
+
+# digests of (sweep.csv, table.txt)
+SWEEP_DIGESTS = ("5ad6dacb6e362f95c8daa5cb746c1c8108a175966ea423ecdf1cbb0942cdb715",
+                 "fea08690dd6a6e77096e746166322c89fa2d5726b52db81fdf08253723bee449")
+
+
+def test_ode_sweep_outputs_are_byte_identical(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    preset("ode_paper").to_json(scenario)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(scenario), "--mode", "parareal",
+                 "--P", "20,30,40,50", "--stopping", "coarse", "--out", str(out)]) == 0
+    assert (_sha256((out / "sweep.csv").read_bytes()),
+            _sha256((out / "table.txt").read_bytes())) == SWEEP_DIGESTS

@@ -61,6 +61,23 @@ def test_negative_sigma0_rejected():
         preset("ode_paper", sigma0=-30.0)
 
 
+def test_parameter_types_raise_config_errors():
+    # each type owns its checks and raises ConfigError, which the CLI exits 2 on
+    for build in (lambda: GrowthParams(sigma0=-1), lambda: MicroParams(delta_tau=0.3),
+                  lambda: growth.SolidGrid(2, 3), lambda: growth.check_grid(10, 3)):
+        with pytest.raises(ConfigError):
+            build()
+
+
+def test_bad_parameter_keeps_its_message_and_exit_code(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**preset("ode_paper").to_dict(), "sigma0": -30.0}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: sigma0 must be positive and finite, got -30.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         Scenario.from_dict({"model": "ode", "sigma_0": 30.0})
@@ -102,7 +119,7 @@ def test_every_parameter_field_is_a_scenario_field(cls):
 
 
 def test_scenario_defaults_match_the_parameter_defaults():
-    # the defaults are written in both places; this keeps them equal
+    # the scenario's growth and micro defaults refer to those of the owning types
     assert Scenario().growth_params() == GrowthParams()
     assert Scenario().micro_params() == MicroParams()
 
