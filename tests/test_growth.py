@@ -198,7 +198,7 @@ def test_one_step_dense_oracle_nonzero_state():
 
 @pytest.mark.parametrize("nx, ny", [(5, 3), (21, 3), (7, 12), (16, 5), (101, 11)])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_banded_step_matches_sparse_and_dense_references(nx, ny, sign):
+def test_forced_fast_step_matches_dense_reference(nx, ny, sign):
     # a forced step on grids from the smallest (5 x 3) to the preset's, with
     # either reaction sign
     g = SolidGrid(nx, ny)
