@@ -16,11 +16,9 @@ from pathlib import Path
 
 from . import costs, parareal, twoscale
 from .errors import ConfigError, RunError
+from .parareal import ENGINE_MODE as _ENGINE_MODE
 from .scenario import MODES, PRESETS, STOPPING, Scenario, parse_scenario, preset
 
-# scenario mode -> engine mode
-_ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
-                "heuristic": "heuristic"}
 # scenario fields that a command-line flag of the same dest overrides
 _FLAG_FIELDS = ("mode", "P", "stopping", "threads", "out_dir")
 # closed-form micro-problem count of each parareal scenario mode

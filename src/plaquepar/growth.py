@@ -79,7 +79,7 @@ class GrowthParams:
                                   f"got {getattr(self, name)}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.reaction_sign not in (1, -1):
+        if isinstance(self.reaction_sign, bool) or self.reaction_sign not in (1, -1):
             raise ConfigError(f"reaction_sign must be +1 or -1, got {self.reaction_sign}")
 
 

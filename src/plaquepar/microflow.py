@@ -103,7 +103,7 @@ class MicroParams:
                               f"got {self.lambda_relax}")
         if not (isinstance(self.max_cycles, int) and self.max_cycles >= 2):
             raise ConfigError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
-        if self.inflow_offset not in (0.0, 1.0, 0, 1):
+        if isinstance(self.inflow_offset, bool) or self.inflow_offset not in (0, 1):
             raise ConfigError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
         if self.delta_tau < 1.0 / _MAX_SAMPLES:
             raise ConfigError(f"delta_tau={self.delta_tau} must be at least "

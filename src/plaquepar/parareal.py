@@ -50,9 +50,25 @@ from .errors import ConfigError, PararealNonConvergenceError, RunError
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
-__all__ = ["PararealEngine", "PararealReport", "run"]
+__all__ = ["PararealEngine", "PararealReport", "check_run_settings", "run"]
 
-_MODES = ("standard", "heuristic", "reusage")
+MODES = ("standard", "heuristic", "reusage")
+STOPPING = ("fine", "coarse")
+# scenario mode -> engine mode; "serial" is the P = 1 run
+ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
+               "heuristic": "heuristic"}
+
+
+def check_run_settings(P, mode, stopping="fine", eps_par=1e-3, max_iters=20):
+    """The one check of the run settings, with run's defaults; raises ConfigError."""
+    if mode not in MODES and not (mode == "serial" and P == 1):
+        raise ConfigError(f"mode must be one of {MODES} (or 'serial' at P=1), got {mode!r}")
+    if stopping not in STOPPING:
+        raise ConfigError(f"stopping must be one of {STOPPING}, got {stopping!r}")
+    if not 0 < eps_par < math.inf:
+        raise ConfigError(f"eps_par must be positive and finite, got {eps_par}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
+        raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
 class PararealEngine:
@@ -68,8 +84,7 @@ class PararealEngine:
     def __init__(self, schedule: Schedule, growth_params: growth.GrowthParams,
                  micro_params: microflow.MicroParams, macro0, micro0, *,
                  mode: str = "standard"):
-        if mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+        check_run_settings(schedule.P, mode)
         if schedule.P < 2:
             raise ConfigError("the parareal engine needs P >= 2; run() takes P=1 "
                               "as the serial path")
@@ -276,10 +291,10 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     the initialization sweep.  Per-iteration errors are reported against
     a serial reference trajectory (computed here unless supplied).
     P=1 is the serial path: one ``run_serial`` call whose trajectory is
-    also the reference, k_par = 0, labelled with ``mode`` as given (one
-    of the engine modes, or "serial", which only P=1 accepts).
+    also the reference, k_par = 0, labelled with ``mode`` as given.
 
-    Raises ConfigError when a supplied reference does not have N_l + 1
+    Raises ConfigError from ``check_run_settings``, the one check of the
+    run settings, or when a supplied reference does not have N_l + 1
     points ending at T_end, and PararealNonConvergenceError when
     max_iters is exhausted.  That error, and any RunError raised by the
     engine (ChannelClosureError, MicroNonConvergenceError, ImexStepError),
@@ -288,15 +303,7 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     initial state's one-row record before the first).  A failure of the
     serial run, as reference or at P=1, carries none.
     """
-    if mode not in _MODES and not (mode == "serial" and schedule.P == 1):
-        raise ConfigError(f"mode must be one of {_MODES} (or 'serial' at P=1), "
-                          f"got {mode!r}")
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
-    if stopping not in ("fine", "coarse"):
-        raise ConfigError(f"stopping must be 'fine' or 'coarse', got {stopping!r}")
-    if not eps_par > 0:
-        raise ConfigError(f"eps_par must be positive, got {eps_par}")
+    check_run_settings(schedule.P, mode, stopping, eps_par, max_iters)
     if reference is not None and (
             len(reference) != schedule.N_l + 1
             or not math.isclose(reference.t[-1], schedule.T_end, rel_tol=1e-9)):

@@ -13,12 +13,12 @@ from dataclasses import asdict, dataclass, fields
 
 from . import growth, microflow
 from .errors import ConfigError
+from .parareal import ENGINE_MODE, STOPPING, check_run_settings
 from .twoscale import DAY, Schedule
 
 __all__ = ["Scenario", "parse_scenario", "preset", "PRESETS", "MODES", "STOPPING"]
 
-MODES = ("serial", "parareal", "reusage", "heuristic")
-STOPPING = ("fine", "coarse")
+MODES = tuple(ENGINE_MODE)
 # accepted value types per field annotation; bool is rejected everywhere
 # (it is an int), and JSON writes whole-number floats such as 300 as int
 _ACCEPTS = {
@@ -81,8 +81,6 @@ class Scenario:
             raise ConfigError(f"model must be 'ode' or 'pde', got {self.model!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.stopping not in STOPPING:
-            raise ConfigError(f"stopping must be one of {STOPPING}, got {self.stopping!r}")
         if self.dt_days <= 0 or self.T_end_days <= 0:
             raise ConfigError("T_end_days and dt_days must be positive")
         n = self.T_end_days / self.dt_days  # inf when the ratio overflows
@@ -90,16 +88,15 @@ class Scenario:
             raise ConfigError(
                 f"dt_days={self.dt_days} must divide T_end_days={self.T_end_days}"
             )
-        if self.eps_par <= 0 or self.max_iters < 1:
-            raise ConfigError("eps_par must be positive and max_iters >= 1")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be positive, got {self.threads}")
         if self.rho_s <= 0:
             raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
-        # the parameter types check their own fields and raise ConfigError
+        # the parameter types and the run settings check themselves and raise ConfigError
         self.growth_params()
         self.micro_params()
-        self.schedule()
+        check_run_settings(self.schedule().P, ENGINE_MODE[self.mode], self.stopping,
+                           self.eps_par, self.max_iters)
         if self.model == "pde":
             growth.check_grid(self.nx, self.ny)
 
@@ -186,6 +183,4 @@ def preset(name: str, **overrides) -> Scenario:
     """Instantiate a shipped preset, optionally overriding fields."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    data = dict(PRESETS[name])
-    data.update(overrides)
-    return Scenario.from_dict(data)
+    return Scenario.from_dict({**PRESETS[name], **overrides})

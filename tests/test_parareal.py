@@ -224,12 +224,25 @@ def test_run_accepts_serial_mode_only_at_p_one():
         run(sched, GP, MP, m0, w0, mode="serial")
 
 
+@pytest.mark.parametrize("mode", ["serial", "bogus"])
+def test_engine_and_run_reject_a_mode_alike(mode):
+    sched, m0, w0 = ode_setup(3, 10, 4)
+    with pytest.raises(ConfigError) as from_run:
+        run(sched, GP, MP, m0, w0, mode=mode)
+    with pytest.raises(ConfigError) as from_engine:
+        PararealEngine(sched, GP, MP, m0, w0, mode=mode)
+    assert str(from_engine.value) == str(from_run.value)
+
+
 @pytest.mark.parametrize("p", [1, 4])
 def test_run_rejects_max_iters_below_one(p):
     sched, m0, w0 = ode_setup(3, 10, p)
-    with pytest.raises(ConfigError, match="max_iters"):
-        run(sched, GP, MP, m0, w0, max_iters=0)
-    for eps_par in (0.0, float("nan")):
+    # unchecked, 2.5 runs 3 iterations, True reads as 1 and an infinite
+    # eps_par stops after one iteration whatever the error
+    for max_iters in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="max_iters"):
+            run(sched, GP, MP, m0, w0, max_iters=max_iters)
+    for eps_par in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="eps_par"):
             run(sched, GP, MP, m0, w0, eps_par=eps_par)
 

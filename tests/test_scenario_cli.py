@@ -62,9 +62,12 @@ def test_negative_sigma0_rejected():
 
 
 def test_parameter_types_raise_config_errors():
-    # each type owns its checks and raises ConfigError, which the CLI exits 2 on
+    # each type owns its checks and raises ConfigError, which the CLI exits 2 on;
+    # bool compares equal to 1, so the types reject it by type
     for build in (lambda: GrowthParams(sigma0=-1), lambda: MicroParams(delta_tau=0.3),
-                  lambda: growth.SolidGrid(2, 3), lambda: growth.check_grid(10, 3)):
+                  lambda: growth.SolidGrid(2, 3), lambda: growth.check_grid(10, 3),
+                  lambda: GrowthParams(reaction_sign=True),
+                  lambda: MicroParams(inflow_offset=True)):
         with pytest.raises(ConfigError):
             build()
 
@@ -76,6 +79,33 @@ def test_bad_parameter_keeps_its_message_and_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: sigma0 must be positive and finite, got -30.0\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eps_par", 0.0, "eps_par must be positive and finite, got 0.0"),
+    ("max_iters", 0, "max_iters must be an integer >= 1, got 0"),
+], ids=["eps_par", "max_iters"])
+def test_bad_run_setting_has_the_owners_message_and_exit_code(tmp_path, capsys, field,
+                                                               value, message):
+    # parareal.check_run_settings is the one check; the scenario adds no message
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**preset("ode_paper").to_dict(), field: value}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"stopping": "midpoint"}, {"eps_par": -1.0}, {"max_iters": 0},
+])
+def test_scenario_and_run_reject_a_run_setting_alike(setting):
+    scn = preset("ode_paper", mode="parareal", P=4, T_end_days=3.0)
+    with pytest.raises(ConfigError) as from_run:
+        parareal.run(scn.schedule(), scn.growth_params(), scn.micro_params(),
+                     *scn.initial_states(), **setting)
+    with pytest.raises(ConfigError) as from_scenario:
+        dataclasses.replace(scn, **setting)
+    assert str(from_scenario.value) == str(from_run.value)
 
 
 def test_unknown_keys_rejected():
