@@ -21,7 +21,7 @@ plus the maximum fine time over the processes.
 import math
 import threading
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 
 __all__ = [
     "CostLedger",
@@ -39,6 +39,9 @@ __all__ = [
 
 
 def _check_kp(k: int, P: int, N_l: int):
+    for name, value in (("iteration count", k), ("P", P), ("N_l", N_l)):
+        if not is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise ConfigError(f"iteration count must be >= 1, got {k}")
     if not 1 <= P <= N_l:

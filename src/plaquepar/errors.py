@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule of its checks."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Any ``numbers.Integral`` (numpy's integers too) except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):

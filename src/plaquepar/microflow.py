@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import growth
-from .errors import ChannelClosureError, ConfigError, MicroNonConvergenceError
+from .errors import ChannelClosureError, ConfigError, MicroNonConvergenceError, is_integer
 
 __all__ = [
     "MicroParams",
@@ -101,7 +101,7 @@ class MicroParams:
         if not 0 <= self.lambda_relax < math.inf:
             raise ConfigError(f"lambda_relax must be non-negative and finite, "
                               f"got {self.lambda_relax}")
-        if not (isinstance(self.max_cycles, int) and self.max_cycles >= 2):
+        if not (is_integer(self.max_cycles) and self.max_cycles >= 2):
             raise ConfigError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
         if isinstance(self.inflow_offset, bool) or self.inflow_offset not in (0, 1):
             raise ConfigError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")

@@ -27,10 +27,11 @@ reuse the interval's initialization micro state on the same process
 each iteration, while re-usage passes the micro state of the
 neighboring interval's last fine step across processes.
 
-With P=1 ``run`` is the serial two-scale run: it returns the report of
-``twoscale.run_serial``, counted from its record's cycles, and never
-builds the engine.  That is the only serial path; the CLI's "serial"
-mode goes through it.
+``run`` takes the serial reference run first: the one supplied, or one
+``twoscale.run_serial`` call.  With P=1 that reference is the run: its
+record is the report's trajectory, its endpoint both endpoints, and the
+ledger counts its cycles; the engine is never built.  So a P=1 run is
+one serial computation, and the CLI's "serial" mode goes through it.
 
 A run failure inside the iteration (any ``RunError``, such as
 ``ChannelClosureError``, ``MicroNonConvergenceError`` or
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 from . import growth, microflow
 from .costs import CostLedger, estimate_parallel_runtime, speedup_efficiency
-from .errors import ConfigError, PararealNonConvergenceError, RunError
+from .errors import ConfigError, PararealNonConvergenceError, RunError, is_integer
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
@@ -67,7 +68,7 @@ def check_run_settings(P, mode, stopping="fine", eps_par=1e-3, max_iters=20):
         raise ConfigError(f"stopping must be one of {STOPPING}, got {stopping!r}")
     if not 0 < eps_par < math.inf:
         raise ConfigError(f"eps_par must be positive and finite, got {eps_par}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
+    if not (is_integer(max_iters) and max_iters >= 1):
         raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
@@ -290,8 +291,9 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     "fine") or the coarse iterate endpoint ("coarse"); s_0 comes from
     the initialization sweep.  Per-iteration errors are reported against
     a serial reference trajectory (computed here unless supplied).
-    P=1 is the serial path: one ``run_serial`` call whose trajectory is
-    also the reference, k_par = 0, labelled with ``mode`` as given.
+    At P=1 that reference is returned as the serial report: its record
+    as the trajectory, its endpoint as both endpoints, its cycles in the
+    ledger, k_par = 0, labelled with ``mode`` as given.
 
     Raises ConfigError from ``check_run_settings``, the one check of the
     run settings, or when a supplied reference does not have N_l + 1
@@ -301,29 +303,26 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     carry the partial report (``converged`` False, k_par the completed
     iterations, the last completed iteration's trajectory, or the
     initial state's one-row record before the first).  A failure of the
-    serial run, as reference or at P=1, carries none.
+    serial reference run carries none.
     """
     check_run_settings(schedule.P, mode, stopping, eps_par, max_iters)
-    if reference is not None and (
-            len(reference) != schedule.N_l + 1
+    if reference is None:
+        reference = run_serial(schedule, growth_params, micro_params, macro0, micro0)
+    elif (len(reference) != schedule.N_l + 1
             or not math.isclose(reference.t[-1], schedule.T_end, rel_tol=1e-9)):
         raise ConfigError(
             f"reference has {len(reference)} points ending at t={reference.t[-1]!r}; "
             f"the schedule needs N_l + 1 = {schedule.N_l + 1} ending at "
             f"T_end={schedule.T_end!r}")
+    ref_end = reference.endpoint
     if schedule.P == 1:
-        trajectory = run_serial(schedule, growth_params, micro_params, macro0, micro0)
         ledger = CostLedger(1)
-        ledger.add_fine_sweep(0, trajectory.cycles[1:], micro_params.n_steps)
-        endpoint = trajectory.endpoint
+        ledger.add_fine_sweep(0, reference.cycles[1:], micro_params.n_steps)
         return PararealReport(
             mode=mode, P=1, N_l=schedule.N_l, k_par=0, converged=True, stopping=stopping,
-            eps_par=eps_par, per_iteration=[], ledger=ledger, endpoint=endpoint,
-            reference_endpoint=endpoint, trajectory=trajectory)
+            eps_par=eps_par, per_iteration=[], ledger=ledger, endpoint=ref_end,
+            reference_endpoint=ref_end, trajectory=reference)
 
-    if reference is None:
-        reference = run_serial(schedule, growth_params, micro_params, macro0, micro0)
-    ref_end = reference.endpoint
     engine = PararealEngine(schedule, growth_params, micro_params, macro0, micro0,
                             mode=mode)
 

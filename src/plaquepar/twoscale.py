@@ -8,14 +8,13 @@ reaction-diffusion model.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import growth, microflow
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 
 __all__ = [
     "DAY",
@@ -51,7 +50,7 @@ class Schedule:
             raise ConfigError(f"T_end must be positive and finite, got {self.T_end}")
         for name in ("N_l", "P"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.N_l < 1:
             raise ConfigError(f"N_l must be at least 1, got {self.N_l}")

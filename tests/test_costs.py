@@ -8,6 +8,7 @@ from plaquepar.costs import (T_RD, CostLedger, count_heuristic,
                              estimate_parallel_runtime, format_sweep_table,
                              optimal_processes, ratio_bound,
                              speedup_efficiency, sweep_table_csv)
+from plaquepar.errors import ConfigError
 
 
 # --- closed-form counts ----------------------------------------------------------
@@ -55,6 +56,14 @@ def test_count_domain_errors():
         count_standard(3, 0, 1000)
     with pytest.raises(ValueError):
         count_standard(3, 1001, 1000)
+    # unchecked, these returned 19.5, 14.5 and 9
+    for count, args, name in ((count_standard, (2.5, 2, 10), "iteration count"),
+                              (count_reusage, (3, 2.5, 10), "P"),
+                              (count_standard, (True, 2, 10), "iteration count"),
+                              (count_standard, (2, 2, 10.0), "N_l")):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            count(*args)
+    assert count_standard(np.int64(2), np.int64(2), np.int64(10)) == 16
 
 
 def test_reusage_always_cheaper_than_standard():

@@ -239,6 +239,7 @@ def test_params_validation():
     for eps_p in (0.0, np.nan):
         with pytest.raises(ValueError, match="eps_p"):
             MicroParams(eps_p=eps_p)
-    for max_cycles in (1, 2.5):
+    for max_cycles in (1, 2.5, True, np.int64(1)):
         with pytest.raises(ValueError, match="max_cycles"):
             MicroParams(max_cycles=max_cycles)
+    assert MicroParams(max_cycles=np.int64(10)).max_cycles == 10

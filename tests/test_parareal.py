@@ -177,10 +177,18 @@ def test_reference_from_another_schedule_rejected(t_end_days, n_l):
     assert rep.reference_endpoint == matching.endpoint
 
 
-def test_p_equals_one_degrades_to_serial():
+@pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
+def test_p_equals_one_degrades_to_serial(monkeypatch, supplied):
     sched, m0, w0 = ode_setup(30, 50, 1)
-    rep = run(sched, GP, MP, m0, w0, mode="standard", eps_par=1e-3)
     ref = serial_reference(sched)
+    if supplied:
+        def no_serial_run(*args, **kwargs):
+            raise AssertionError("P = 1 ran the serial model beside its reference")
+        monkeypatch.setattr(parareal, "run_serial", no_serial_run)
+    rep = run(sched, GP, MP, m0, w0, mode="standard", eps_par=1e-3,
+              reference=ref if supplied else None)
+    if supplied:
+        assert rep.trajectory is ref
     assert rep.k_par == 0
     assert rep.endpoint == ref.endpoint
     assert rep.speedup == 1.0
@@ -239,9 +247,10 @@ def test_run_rejects_max_iters_below_one(p):
     sched, m0, w0 = ode_setup(3, 10, p)
     # unchecked, 2.5 runs 3 iterations, True reads as 1 and an infinite
     # eps_par stops after one iteration whatever the error
-    for max_iters in (0, 2.5, True):
+    for max_iters in (0, 2.5, True, np.int64(0)):
         with pytest.raises(ConfigError, match="max_iters"):
             run(sched, GP, MP, m0, w0, max_iters=max_iters)
+    assert run(sched, GP, MP, m0, w0, max_iters=np.int64(5)).converged
     for eps_par in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="eps_par"):
             run(sched, GP, MP, m0, w0, eps_par=eps_par)

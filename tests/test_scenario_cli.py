@@ -316,6 +316,28 @@ def test_cli_sweep_validates_every_column_before_running(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--mode", "serial"],
+                                     ["run", "--mode", "parareal", "--P", "4"],
+                                     ["sweep", "--P", "1,4"]],
+                         ids=["run-serial", "run-parareal", "sweep"])
+def test_each_command_runs_the_serial_model_once(tmp_path, monkeypatch, command):
+    scn = preset("ode_paper", T_end_days=24.0, dt_days=1.5)
+    assert scn.N_l == 16
+    path = tmp_path / "scn.json"
+    scn.to_json(path)
+    calls = []
+    serial = twoscale.run_serial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return serial(*args, **kwargs)
+    monkeypatch.setattr(twoscale, "run_serial", counted)
+    monkeypatch.setattr(parareal, "run_serial", counted)
+    argv = command + ["--scenario", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_cli_run_pde(tmp_path):
     scn = preset("pde_paper", T_end_days=6.0, dt_days=0.5, nx=21, ny=4,
                  mode="parareal", P=3, out_dir=str(tmp_path / "pde"))
