@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, message: str | None = None):
+    """The one integer rule for a count: an integer >= 1, else ConfigError."""
+    if not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{message or name + ' must be >= 1'}, got {value}")
+
+
 def _check_kp(k: int, P: int, N_l: int):
     for name, value in (("iteration count", k), ("P", P), ("N_l", N_l)):
         if not is_integer(value):
@@ -74,13 +82,15 @@ def count_rd_reusage(k: int, P: int, N_l: int) -> int:
 
 def ratio_bound(N_l: int) -> float:
     """Upper bound sqrt(N_l)/2 + 1 on rd solves per micro problem (re-usage)."""
+    _check_count("N_l", N_l)
     return math.sqrt(N_l) / 2.0 + 1.0
 
 
 def speedup_efficiency(count: int, N_l: int, P: int):
     """Speedup N_l/count versus the serial reference and efficiency speedup/P."""
-    if count <= 0:
-        raise ValueError(f"micro-problem count must be positive, got {count}")
+    _check_count("micro-problem count", count, "micro-problem count must be positive")
+    _check_count("N_l", N_l)
+    _check_count("P", P, "need at least one process")
     speedup = N_l / count
     return speedup, speedup / P
 
@@ -90,13 +100,15 @@ def optimal_processes(N_l: int, mode: str = "standard", k: int | None = None) ->
 
     standard: P ~ sqrt(N_l);  reusage: P ~ sqrt(k * N_l).
     """
+    _check_count("N_l", N_l)
     if mode == "standard":
         return max(1, round(math.sqrt(N_l)))
     if mode == "reusage":
         if k is None:
-            raise ValueError("reusage optimum needs the iteration count k")
+            raise ConfigError("reusage optimum needs the iteration count k")
+        _check_count("iteration count k", k)
         return max(1, round(math.sqrt(k * N_l)))
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ConfigError(f"unknown mode {mode!r}")
 
 
 # Synthetic unit costs: a micro problem of `cycles` cycles costs
@@ -119,9 +131,8 @@ class CostLedger:
     the propagators count nothing.
     """
 
-    def __init__(self, n_processes: int = 1):
-        if n_processes < 1:
-            raise ValueError(f"need at least one process, got {n_processes}")
+    def __init__(self, n_processes: int):
+        _check_count("n_processes", n_processes, "need at least one process")
         self._lock = threading.Lock()
         self.per_process_micro = [0] * n_processes
         self.per_process_fsi_steps = [0] * n_processes

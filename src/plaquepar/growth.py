@@ -90,7 +90,7 @@ class SolidGrid:
     interface y=-1.  Columns i=0 and i=nx-1 (x=+-5) are Dirichlet.
     """
 
-    def __init__(self, nx: int = 101, ny: int = 11):
+    def __init__(self, nx: int, ny: int):
         self.nx = nx
         self.ny = ny
         self.x = _interface_nodes(nx, ny)

@@ -22,10 +22,13 @@ from the cycles of the ``StepRow``s that ``advance_two_scale`` returns,
 and ``add_coarse_step`` per coarse step, with the cycles of the
 ``GrowthSample`` of ``run_coarse_step`` (0 for the stationary surrogate
 and for the re-usage master's steps); the propagators count nothing.
-Warm starts follow the written algorithms: standard/heuristic sweeps
-reuse the interval's initialization micro state on the same process
-each iteration, while re-usage passes the micro state of the
-neighboring interval's last fine step across processes.
+Warm starts follow the written algorithms and live in one list,
+``PararealEngine.warm``, the micro state starting each interval's fine
+sweep: ``initialize`` fills it with the initialization's coarse micro
+states, which standard/heuristic sweeps reuse on the same process each
+iteration, while each re-usage iteration replaces it with ``micro0``
+and the neighboring intervals' last fine micro states, passed across
+processes.
 
 ``run`` takes the serial reference run first: the one supplied, or one
 ``twoscale.run_serial`` call.  With P=1 that reference is the run: its
@@ -75,9 +78,9 @@ def check_run_settings(P, mode, stopping="fine", eps_par=1e-3, max_iters=20):
 class PararealEngine:
     """Coordinator/worker implementation of the parareal iteration.
 
-    Holds the interval-boundary iterate values, the cached coarse
-    results, warm-start micro states and (for re-usage) the stored
-    growth values.  ``initialize`` runs the coarse sweep of step (I);
+    Holds the interval-boundary iterate values ``c_bar``, the cached
+    coarse results and the micro states ``warm`` that start the P fine
+    sweeps.  ``initialize`` runs the coarse sweep of step (I);
     each ``iterate`` performs one full parareal iteration.  ``ledger``
     counts every finished fine sweep and coarse step.
     """
@@ -104,9 +107,8 @@ class PararealEngine:
 
         self.k = 0
         self.c_bar = None         # iterate values at T_0..T_P
-        self.w_init = None        # micro states of the initialization sweep
+        self.warm = None          # micro states starting the P fine sweeps
         self.c_coarse = None      # C(c^{(k)}(T_p)) of the latest coarse sweep at index p
-        self.fine_end_w = None    # per-interval final micro states (re-usage)
         self.last_steps = None    # StepRow per fine step, latest iteration
         self.endpoints = {"fine": [], "coarse": []}  # stopping functionals per variant
 
@@ -138,24 +140,12 @@ class PararealEngine:
 
     def initialize(self):
         """Step (I): the coarse sweep filling c^{(0)}(T_p) and the warm starts."""
-        self.c_bar, self.w_init = self._coarse_sweep()
+        self.c_bar, micro = self._coarse_sweep()
+        self.warm = micro[: self.sched.P]
         endpoint = self.c_bar[-1].functional()
         self.endpoints = {"fine": [endpoint], "coarse": [endpoint]}
         self.k = 0
         return self
-
-    # -- fine sweeps (II.a) -------------------------------------------------
-
-    def _restart(self, p):
-        """Interval start state at T_p with the boundary time stamped on it."""
-        return dataclasses.replace(self.c_bar[p], t=self._bounds[p] * self.sched.dt)
-
-    def _warm_starts(self):
-        """Initialization micro states, or the neighbors' last fine ones once
-        re-usage has stored them."""
-        if self.fine_end_w is not None:
-            return [self.micro0] + self.fine_end_w[: self.sched.P - 1]
-        return self.w_init[: self.sched.P]
 
     # -- one parareal iteration (II) ----------------------------------------
 
@@ -165,18 +155,23 @@ class PararealEngine:
             raise RuntimeError("call initialize() before iterate()")
         P = self.sched.P
         ends, end_micro, steps = [], [], []
-        for p, warm in enumerate(self._warm_starts()):
+        for p, warm in enumerate(self.warm):
+            start = dataclasses.replace(self.c_bar[p], t=self._bounds[p] * self.sched.dt)
             end, w, interval_steps = advance_two_scale(
-                self._restart(p), warm, self._steps[p], self.sched.dt, self.gp, self.mp,
+                start, warm, self._steps[p], self.sched.dt, self.gp, self.mp,
             )
             self.ledger.add_fine_sweep(p, [row.cycles for row in interval_steps], self._n_s)
             ends.append(end)
             end_micro.append(w)
             steps += interval_steps
         if self.mode == "reusage":
-            new_c = self._reusage_update(end_micro, steps)
+            # stored growth values to the master, micro states to the neighbor
+            self.ledger.add_message(2 * P)
+            self.warm = [self.micro0] + end_micro[: P - 1]
+            new_c = self._reusage_update(steps)
         else:
-            new_c = self._standard_update(ends)
+            self.ledger.add_message(P)  # fine endpoints to the master
+            new_c = self._coarse_sweep(ends)[0]
         self.ledger.add_message(P)  # broadcast updated interval starts
 
         self.c_bar = new_c
@@ -186,23 +181,13 @@ class PararealEngine:
         self.endpoints["coarse"].append(new_c[-1].functional())
         return self
 
-    def _standard_update(self, fine_ends):
-        """Corrected coarse sweep: C(new) + F(old) - C(old) per interval."""
-        self.ledger.add_message(self.sched.P)  # fine endpoints to the master
-        return self._coarse_sweep(fine_ends)[0]
-
-    def _reusage_update(self, end_micro, steps):
+    def _reusage_update(self, steps):
         """Coarse re-propagation on the fine grid from the stored growth values."""
-        P = self.sched.P
-        self.fine_end_w = end_micro
-        self.ledger.add_message(P)  # stored growth values to the master
-        self.ledger.add_message(P)  # micro states to the neighboring process
-
         stored = [row.gamma_bar for row in steps]
         assert len(stored) == self.sched.N_l
         c = self.macro0
         new_c = [c]
-        for p in range(P):
+        for p in range(self.sched.P):
             for j in range(self._bounds[p], self._bounds[p + 1]):
                 c = c.step(stored[j], self.sched.dt, self.gp)
                 self.ledger.add_coarse_step(0, self._n_s)

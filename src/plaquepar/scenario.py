@@ -174,7 +174,7 @@ PRESETS = {
         model="pde", T_end_days=200.0, dt_days=0.2, delta_tau=0.02,
         eps_p=1e-3, eps_par=1e-4, alpha=5.0e-8, sigma0=30.0,
         D_s=1.2e-7, R_s=5.0e-7, theta=0.7,
-        inflow_amplitude=30.0, inflow_offset=1.0, nx=101, ny=11,
+        inflow_amplitude=30.0, inflow_offset=1.0,
     ),
 }
 

@@ -82,6 +82,12 @@ def test_standard_count_minimized_near_sqrt():
 def test_ratio_bound():
     assert ratio_bound(1000) == pytest.approx(16.81, abs=0.01)
     assert ratio_bound(4) == 2.0
+    assert ratio_bound(np.int64(4)) == 2.0
+    # unchecked, True returned 1.5 and -1 raised a bare math-domain error
+    for n_l, match in ((True, "N_l must be an integer"), (4.0, "N_l must be an integer"),
+                       (0, "N_l must be >= 1"), (-1, "N_l must be >= 1")):
+        with pytest.raises(ConfigError, match=match):
+            ratio_bound(n_l)
 
 
 def test_rd_to_micro_ratio_below_bound():
@@ -102,16 +108,33 @@ def test_speedup_efficiency_paper_rows():
     assert round(s, 1) == 7.8 and round(100 * e) == 13
     s, e = speedup_efficiency(1000, 1000, 1)
     assert s == 1.0 and e == 1.0
+    # unchecked, P = 0 raised ZeroDivisionError
+    for args, match in (((0, 1000, 1), "micro-problem count must be positive"),
+                        ((222.0, 1000, 30), "micro-problem count must be an integer"),
+                        ((222, 0, 30), "N_l must be >= 1"),
+                        ((222, 1000.0, 30), "N_l must be an integer"),
+                        ((10, 1000, 0), "need at least one process"),
+                        ((10, 1000, True), "P must be an integer")):
+        with pytest.raises(ConfigError, match=match):
+            speedup_efficiency(*args)
 
 
 def test_optimal_processes():
     assert optimal_processes(1000, "standard") in (31, 32)
     assert optimal_processes(1000, "reusage", k=4) == 63
     assert optimal_processes(4, "standard") == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reusage optimum needs the iteration count k"):
         optimal_processes(1000, "reusage")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode"):
         optimal_processes(1000, "bogus")
+    # unchecked, the first returned 1 and the second 50
+    for args, kwargs, match in (((True,), {}, "N_l must be an integer"),
+                                ((1000, "reusage"), {"k": 2.5},
+                                 "iteration count k must be an integer"),
+                                ((0,), {}, "N_l must be >= 1"),
+                                ((1000, "reusage"), {"k": 0}, "iteration count k must be >= 1")):
+        with pytest.raises(ConfigError, match=match):
+            optimal_processes(*args, **kwargs)
 
 
 # --- runtime model --------------------------------------------------------------------
@@ -197,6 +220,14 @@ def test_ledger_thread_safety():
 def test_ledger_validation():
     with pytest.raises(ValueError):
         CostLedger(0)
+    # unchecked, 2.5 raised TypeError and True was accepted
+    for n, match in ((0, "need at least one process"), (2.5, "n_processes must be an integer"),
+                     (True, "n_processes must be an integer")):
+        with pytest.raises(ConfigError, match=match):
+            CostLedger(n)
+    with pytest.raises(TypeError):
+        CostLedger()  # the process count has no default
+    assert len(CostLedger(np.int64(3)).per_process_micro) == 3
 
 
 # --- table emitters ------------------------------------------------------------------------

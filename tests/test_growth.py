@@ -44,6 +44,8 @@ def test_gamma_ode_domain():
         gamma_ode(-1.0, 0.0, GP)
     with pytest.raises(ValueError):
         gamma_ode(1.0, -0.1, GP)
+    with pytest.raises(ValueError, match="wall shear stress must be non-negative"):
+        gamma_pde(np.array([1.0, -0.1]), np.zeros(2), PDE_GP)
 
 
 # --- delta weight ------------------------------------------------------------
@@ -137,6 +139,9 @@ def test_field_state_validation():
         FieldState(g, np.zeros((4, 11)))
     with pytest.raises(ValueError):
         FieldState(g, np.full((3, 11), np.nan))
+    for c_s in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="c_s must be finite and non-negative"):
+            ScalarState(c_s)
 
 
 def test_stepped_state_equals_public_construction_and_checks_stay():
@@ -429,6 +434,11 @@ def test_gamma_bar_length_checked():
     for dt in (0.0, np.nan):
         with pytest.raises(ValueError, match="dt"):
             imex_system(FieldState.zero(g), np.zeros(g.nx), dt, PDE_GP)
+    with pytest.raises(ValueError, match="forcing must be a full"):
+        imex_system(FieldState.zero(g), np.zeros(g.nx), 1.0, PDE_GP, forcing=np.zeros((2, 11)))
+    # NaN, not inf: an infinite gamma_bar trips a numpy RuntimeWarning first
+    with pytest.raises(ImexStepError, match="non-finite"):
+        macro_step_pde(FieldState.zero(g), np.full(g.nx, np.nan), 1.0, PDE_GP)
 
 
 # --- functionals and exports -------------------------------------------------------

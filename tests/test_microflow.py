@@ -64,6 +64,8 @@ def test_wss_values():
     # calibration: c_geo * 2 rho nu = 1, so wss(q=30, h=1) = 30 = sigma0
     assert wall_shear_stress(30.0, 1.0, MP) == pytest.approx(30.0, abs=1e-12)
     assert wall_shear_stress(30.0, 0.5, MP) == pytest.approx(120.0, abs=1e-12)
+    with pytest.raises(ValueError, match="half-width must be positive"):
+        wall_shear_stress(30.0, 0.0, MP)
 
 
 def test_wss_monotonicity():

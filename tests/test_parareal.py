@@ -215,6 +215,9 @@ def test_unknown_mode_rejected():
     sched, m0, w0 = ode_setup(24, 16, 4)
     with pytest.raises(ConfigError):
         PararealEngine(sched, GP, MP, m0, w0, mode="bogus")
+    sched, m0, w0 = ode_setup(24, 16, 1)
+    with pytest.raises(ConfigError, match="needs P >= 2"):
+        PararealEngine(sched, GP, MP, m0, w0)
 
 
 @pytest.mark.parametrize("p", [1, 4])

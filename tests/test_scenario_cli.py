@@ -116,6 +116,9 @@ def test_unknown_keys_rejected():
 def test_dt_must_divide_t_end():
     with pytest.raises(ConfigError):
         preset("ode_paper", T_end_days=1.0, dt_days=0.3)
+    # unchecked, dt_days = 0 divides by zero
+    with pytest.raises(ConfigError, match="must be positive"):
+        preset("ode_paper", dt_days=0.0)
 
 
 def test_mode_and_stopping_validated():
@@ -123,6 +126,8 @@ def test_mode_and_stopping_validated():
         preset("ode_paper", mode="parallel")
     with pytest.raises(ConfigError):
         preset("ode_paper", stopping="midpoint")
+    with pytest.raises(ConfigError, match="model must be"):
+        preset("ode_paper", model="fem")
 
 
 def test_schedule_derivation():
@@ -273,16 +278,24 @@ def test_cli_sweep_formula_only(tmp_path):
     assert mp_line == "#_mp,450,230,222,235,260,P=30"
 
 
-def test_cli_sweep_formula_needs_matching_kpar(tmp_path):
+def test_cli_sweep_formula_needs_matching_kpar(tmp_path, capsys):
     rc = main(["sweep", "--scenario", "ode_paper", "--P", "10,20",
                "--kpar", "4", "--formula-only", "--out", str(tmp_path)])
     assert rc == 2
+    rc = main(["sweep", "--scenario", "ode_paper", "--P", "10,20",
+               "--formula-only", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--formula-only needs --kpar" in capsys.readouterr().err
 
 
-def test_cli_sweep_empty_p_list(tmp_path):
+def test_cli_sweep_empty_p_list(tmp_path, capsys):
     rc = main(["sweep", "--scenario", "ode_paper", "--P", ",",
                "--formula-only", "--kpar", "3", "--out", str(tmp_path)])
     assert rc == 2
+    rc = main(["sweep", "--scenario", "ode_paper", "--P", "10,x",
+               "--formula-only", "--kpar", "3,3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--P expects a comma-separated integer list" in capsys.readouterr().err
 
 
 def test_cli_sweep_live(tmp_path):
