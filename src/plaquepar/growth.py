@@ -138,12 +138,20 @@ class SolidGrid:
         return _midpoint_node(self.x) if self._midpoint is None else self._midpoint
 
 
+# Most unknowns per direction, nx - 2 and ny - 1: SolidGrid keeps a dense
+# eigenbasis of each direction, about 32 MB at this bound
+_MAX_BASIS = 2000
+
+
 def _interface_nodes(nx: int, ny: int) -> np.ndarray:
-    """The x nodes of an nx x ny grid; ConfigError when the grid is too small."""
+    """The x nodes of an nx x ny grid; ConfigError when the grid is too small or too large."""
     # ny >= 3 keeps an interior row between the Dirichlet row and the
     # interface, which the ghost elimination couples to
     if nx < 3 or ny < 3:
         raise ConfigError(f"grid needs nx >= 3 and ny >= 3, got {nx} x {ny}")
+    if nx - 2 > _MAX_BASIS or ny - 1 > _MAX_BASIS:
+        raise ConfigError(f"grid needs nx <= {_MAX_BASIS + 2} and ny <= {_MAX_BASIS + 1} "
+                          f"(dense eigenbases), got {nx} x {ny}")
     return np.linspace(-5.0, 5.0, nx)
 
 
@@ -158,8 +166,9 @@ def _midpoint_node(x: np.ndarray) -> int:
 def check_grid(nx: int, ny: int):
     """Raise what ``SolidGrid(nx, ny).midpoint_index()`` raises, from the x nodes alone.
 
-    ConfigError when the grid is too small or, as GridAlignmentError, when
-    no node lies at x = 0 (even nx); builds none of the grid's eigenbases.
+    ConfigError when the grid is too small or too large or, as
+    GridAlignmentError, when no node lies at x = 0 (even nx); builds none of
+    the grid's eigenbases.
     """
     _midpoint_node(_interface_nodes(nx, ny))
 

@@ -2,9 +2,11 @@
 
 A scenario is a flat record of everything one run needs.  Times are
 given in days in the configuration (1 day = 86 400 s) and converted to
-seconds internally.  The two shipped presets encode the paper setups:
-"ode_paper" (scalar growth model, 300 days at 0.3-day steps) and
-"pde_paper" (reaction-diffusion model, 200 days at 0.2-day steps).
+seconds internally.  The defaults of ``Scenario`` and of the parameter
+types it builds are the paper's ODE example (scalar growth model, 300
+days at 0.3-day steps), so the preset "ode_paper" is empty; "pde_paper"
+(reaction-diffusion model, 200 days at 0.2-day steps) lists only its
+departures from them.
 """
 
 import json
@@ -161,21 +163,13 @@ def parse_scenario(source) -> Scenario:
 
 
 PRESETS = {
-    # ODE growth model of the first numerical example: 300 days at
-    # dt = 0.3 days (N_l = 1000), pulsating inflow 30 sin^2(pi t).
-    "ode_paper": dict(
-        model="ode", T_end_days=300.0, dt_days=0.3, delta_tau=0.02,
-        eps_p=1e-3, eps_par=1e-3, alpha=5.0e-7, sigma0=30.0,
-        inflow_amplitude=30.0, inflow_offset=0.0,
-    ),
-    # Reaction-diffusion growth model: 200 days at dt = 0.2 days
-    # (N_l = 1000), inflow 30 (1 + sin^2(pi t)), stricter eps_par.
-    "pde_paper": dict(
-        model="pde", T_end_days=200.0, dt_days=0.2, delta_tau=0.02,
-        eps_p=1e-3, eps_par=1e-4, alpha=5.0e-8, sigma0=30.0,
-        D_s=1.2e-7, R_s=5.0e-7, theta=0.7,
-        inflow_amplitude=30.0, inflow_offset=1.0,
-    ),
+    # ODE growth model of the first numerical example: the defaults, 300 days
+    # at dt = 0.3 days (N_l = 1000), pulsating inflow 30 sin^2(pi t).
+    "ode_paper": {},
+    # Reaction-diffusion growth model: 200 days at dt = 0.2 days (N_l = 1000),
+    # inflow 30 (1 + sin^2(pi t)), a smaller alpha and a stricter eps_par.
+    "pde_paper": dict(model="pde", T_end_days=200.0, dt_days=0.2, eps_par=1e-4,
+                      alpha=5.0e-8, inflow_offset=1.0),
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from plaquepar import growth
-from plaquepar.errors import GridAlignmentError, ImexStepError
+from plaquepar.errors import ConfigError, GridAlignmentError, ImexStepError
 from plaquepar.growth import (FieldState, GrowthParams, ScalarState, SolidGrid,
                               delta_weight, field_to_csv, gamma_ode, gamma_pde,
                               imex_system, interface_mean, interface_midpoint,
@@ -123,6 +123,14 @@ def test_grid_geometry():
 def test_grid_too_small_rejected(nx, ny):
     with pytest.raises(ValueError, match="nx >= 3 and ny >= 3"):
         SolidGrid(nx, ny)
+
+
+@pytest.mark.parametrize("nx, ny", [(2003, 11), (100001, 11), (101, 2002), (101, 100001)])
+def test_grid_too_large_rejected(nx, ny):
+    # rejected before the dense eigenbases are allocated (80 GB at nx = 100001)
+    with pytest.raises(ConfigError, match=r"nx <= 2002 and ny <= 2001 \(dense eigenbases\)"):
+        SolidGrid(nx, ny)
+    growth.check_grid(2001, 2001)  # the largest valid grid with a midpoint node
 
 
 def test_grid_midpoint_missing():

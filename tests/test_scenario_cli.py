@@ -54,6 +54,15 @@ def test_preset_names():
         preset("bogus")
 
 
+def test_presets_list_only_departures_from_the_defaults():
+    # the defaults are the ODE example; a preset names only what differs
+    defaults = Scenario()
+    assert PRESETS["ode_paper"] == {}
+    for name, values in PRESETS.items():
+        repeated = {k: v for k, v in values.items() if v == getattr(defaults, k)}
+        assert not repeated, f"{name} repeats the defaults {repeated}"
+
+
 # --- validation ------------------------------------------------------------------
 
 def test_negative_sigma0_rejected():
@@ -374,6 +383,9 @@ def test_cli_presets_command(tmp_path):
 @pytest.mark.parametrize("overrides", [{"theta": 1.5}, {"lambda_relax": -1.0},
                                        {"model": "pde", "ny": 2},
                                        {"model": "pde", "nx": 100},
+                                       # dense eigenbases above the grid bound
+                                       {"model": "pde", "nx": 100001},
+                                       {"model": "pde", "ny": 100001},
                                        {"dt_days": "0.3"}, {"P": "ten"},
                                        {"model": "pde", "nx": 101.0},
                                        {"P": True}, {"threads": 1.5},
@@ -408,7 +420,7 @@ def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides
         assert "delta_tau" in err
 
 
-@pytest.mark.parametrize("nx, ny", [(100, 11), (101, 2)])
+@pytest.mark.parametrize("nx, ny", [(100, 11), (101, 2), (100001, 11), (101, 100001)])
 def test_grid_check_builds_no_grid_and_keeps_the_grid_message(monkeypatch, nx, ny):
     with pytest.raises(ValueError) as built:
         growth.SolidGrid(nx, ny).midpoint_index()
