@@ -6,8 +6,8 @@ errors against the serial reference together with the exact
 micro-problem accounting.
 """
 
-from plaquepar import (DAY, MicroState, ScalarState, Schedule, count_heuristic,
-                       count_reusage, count_standard, preset, run_serial)
+from plaquepar import DAY, MicroState, ScalarState, Schedule, preset, run_serial
+from plaquepar.costs import MICRO_COUNT
 from plaquepar.parareal import run
 
 scn = preset("ode_paper")
@@ -20,8 +20,6 @@ reference = run_serial(Schedule(sched.T_end, N_L, 1), gp, mp,
 print(f"serial reference: c_s(T) = {reference.endpoint:.8f} "
       f"({N_L} micro problems)\n")
 
-formulas = {"standard": count_standard, "reusage": count_reusage,
-            "heuristic": count_heuristic}
 for mode in ("standard", "reusage", "heuristic"):
     rep = run(sched, gp, mp, ScalarState(0.0), MicroState(0.0), mode=mode,
               stopping="fine", eps_par=1e-3, reference=reference)
@@ -32,7 +30,7 @@ for mode in ("standard", "reusage", "heuristic"):
     count = led.micro_serial_equivalent
     print(f"  micro problems (serial-equivalent): {count} "
           f"[fine max {max(led.per_process_micro)}, coarse {led.micro_coarse}]")
-    print(f"  closed-form count: {formulas[mode](rep.k_par, P, N_L)}")
+    print(f"  closed-form count: {MICRO_COUNT[mode](rep.k_par, P, N_L)}")
     print(f"  speedup {rep.speedup:.2f}, efficiency {100 * rep.efficiency:.0f}%\n")
 
 print("The heuristic coarse propagator needs more iterations but solves no")

@@ -21,9 +21,6 @@ from .scenario import MODES, PRESETS, STOPPING, Scenario, parse_scenario, preset
 
 # scenario fields that a command-line flag of the same dest overrides
 _FLAG_FIELDS = ("mode", "P", "stopping", "threads", "out_dir")
-# closed-form micro-problem count of each parareal scenario mode
-_MICRO_COUNT = {"parareal": costs.count_standard, "reusage": costs.count_reusage,
-                "heuristic": costs.count_heuristic}
 
 
 def _scenario(args, **fields) -> Scenario:
@@ -108,7 +105,7 @@ def _formula_columns(scenarios, kpar) -> list:
         )
     columns = []
     for scn, k in zip(scenarios, k_values):
-        mp = _MICRO_COUNT[scn.mode](k, scn.P, scn.N_l)
+        mp = costs.MICRO_COUNT[_ENGINE_MODE[scn.mode]](k, scn.P, scn.N_l)
         speedup, efficiency = costs.speedup_efficiency(mp, scn.N_l, scn.P)
         columns.append({"P": scn.P, "errors": [], "mp": mp,
                         "speedup": speedup, "efficiency": efficiency})

@@ -28,6 +28,7 @@ __all__ = [
     "count_standard",
     "count_reusage",
     "count_heuristic",
+    "MICRO_COUNT",
     "count_rd_reusage",
     "ratio_bound",
     "speedup_efficiency",
@@ -111,6 +112,10 @@ def optimal_processes(N_l: int, mode: str = "standard", k: int | None = None) ->
     raise ConfigError(f"unknown mode {mode!r}")
 
 
+# engine mode -> closed-form serial-equivalent micro-problem count
+MICRO_COUNT = {"standard": count_standard, "heuristic": count_heuristic,
+               "reusage": count_reusage}
+
 # Synthetic unit costs: a micro problem of `cycles` cycles costs
 # N_s * cycles * FSI_STEP_COST, so it dominates T_RD by far.
 FSI_STEP_COST = 1.0
@@ -125,14 +130,17 @@ class CostLedger:
     of messages; every total is derived from these.  Fine work is
     attributed to its process, so that parallel runtimes (max over
     processes) and serial-equivalent counts can be derived after the
-    run; each fine step is one micro problem plus one growth-model solve.
+    run; each fine step is one micro problem plus one growth-model solve,
+    and each cycle of a micro problem ``n_steps`` = N_s micro time steps.
     Increments are commutative, which keeps totals independent of the
     worker scheduling.  ``parareal.run`` and its engine fill the ledger;
     the propagators count nothing.
     """
 
-    def __init__(self, n_processes: int):
+    def __init__(self, n_processes: int, n_steps: int):
         _check_count("n_processes", n_processes, "need at least one process")
+        _check_count("n_steps", n_steps)
+        self.n_steps = n_steps
         self._lock = threading.Lock()
         self.per_process_micro = [0] * n_processes
         self.per_process_fsi_steps = [0] * n_processes
@@ -141,27 +149,27 @@ class CostLedger:
         self.rd_coarse = 0
         self.messages = 0
 
-    def add_fine_sweep(self, process: int, cycles, n_steps: int):
+    def add_fine_sweep(self, process: int, cycles):
         """Count one finished fine sweep of ``process`` from its per-step cycle counts.
 
         Each step is one micro problem of ``cycles[i]`` cycles with
-        n_steps steps each plus one growth-model solve.
+        ``n_steps`` steps each plus one growth-model solve.
         """
         n = len(cycles)
-        steps = int(sum(cycles)) * n_steps
+        steps = int(sum(cycles)) * self.n_steps
         with self._lock:
             self.per_process_micro[process] += n
             self.per_process_fsi_steps[process] += steps
 
-    def add_coarse_step(self, cycles: int, n_steps: int):
+    def add_coarse_step(self, cycles: int):
         """Count one coarse growth-model solve, after a micro problem of
-        ``cycles`` cycles with n_steps steps each; 0 cycles means the step
+        ``cycles`` cycles with ``n_steps`` steps each; 0 cycles means the step
         solved none (stationary surrogate, re-usage re-propagation)."""
         with self._lock:
             self.rd_coarse += 1
             if cycles > 0:
                 self.micro_coarse += 1
-                self.fsi_steps_coarse += cycles * n_steps
+                self.fsi_steps_coarse += cycles * self.n_steps
 
     def add_message(self, n: int = 1):
         with self._lock:

@@ -103,13 +103,9 @@ class SolidGrid:
         except GridAlignmentError:
             self._midpoint = None
         # delta_weight(x) on the interface nodes; growth vanishes where the
-        # weight does, so every growth evaluation reads only the contiguous
-        # run of non-zero weights around x = 0 (empty when no node lies in
-        # (-1, 1))
+        # weight does, so every growth evaluation reads only its support
         self.weight = delta_weight(self.x)
-        nonzero = np.flatnonzero(self.weight)
-        self.support = (slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size
-                        else slice(0, 0))
+        self.support = _support(self.weight)
         self.support_weight = self.weight[self.support]
         # eigenbases of the negated 1-D Laplacians on the unknown nodes, read by
         # every fast IMEX solve: -Lx = Sx diag(x_eigenvalues) Sx in the
@@ -163,14 +159,24 @@ def _midpoint_node(x: np.ndarray) -> int:
     return i
 
 
-def check_grid(nx: int, ny: int):
+def _support(weight: np.ndarray) -> slice:
+    """The contiguous run of non-zero weights around x = 0 (empty when no node lies in (-1, 1))."""
+    nonzero = np.flatnonzero(weight)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(0, 0)
+
+
+def check_grid(nx: int, ny: int) -> int:
     """Raise what ``SolidGrid(nx, ny).midpoint_index()`` raises, from the x nodes alone.
 
     ConfigError when the grid is too small or too large or, as
     GridAlignmentError, when no node lies at x = 0 (even nx); builds none of
-    the grid's eigenbases.
+    the grid's eigenbases.  Returns the number of nodes on the grid's damage
+    support, where each micro problem evaluates wall shear stress.
     """
-    _midpoint_node(_interface_nodes(nx, ny))
+    x = _interface_nodes(nx, ny)
+    _midpoint_node(x)
+    support = _support(delta_weight(x))
+    return support.stop - support.start
 
 
 def _ghost_row_eigenbasis(n: int, h: float):

@@ -50,9 +50,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-# Most samples a cycle may hold, so delta_tau >= 1e-5; a two-cycle PDE block
-# at this limit takes about 30 MB
+# Most samples a cycle may hold, so delta_tau >= 1e-5
 _MAX_SAMPLES = 100_000
+# Most entries of a micro problem's first two cycles' WSS block, 2 N_s per
+# support node, about 32 MB of floats; the preset grid's 19 support nodes
+# stay below it at _MAX_SAMPLES
+_MAX_BLOCK = 4_000_000
 
 
 class _CycleData(NamedTuple):
@@ -130,6 +133,16 @@ class MicroParams:
     def n_steps(self) -> int:
         """Micro steps per cycle, N_s = 1 / delta_tau."""
         return int(round(1.0 / self.delta_tau))
+
+    def check_block(self, nodes: int):
+        """ConfigError when a micro problem on ``nodes`` support nodes would ask for
+        a two-cycle WSS block of more than _MAX_BLOCK entries."""
+        entries = 2 * self.n_steps * nodes
+        if entries > _MAX_BLOCK:
+            raise ConfigError(f"delta_tau={self.delta_tau} on {nodes} support nodes needs "
+                              f"a two-cycle wall shear stress block of 2 x {self.n_steps} x "
+                              f"{nodes} = {entries} values per micro problem, more than "
+                              f"{_MAX_BLOCK}; use a larger delta_tau or a smaller nx")
 
     @property
     def mean_inflow(self) -> float:

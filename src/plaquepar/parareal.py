@@ -49,21 +49,27 @@ import math
 from dataclasses import dataclass
 
 from . import growth, microflow
-from .costs import CostLedger, estimate_parallel_runtime, speedup_efficiency
+from .costs import MICRO_COUNT, CostLedger, estimate_parallel_runtime, speedup_efficiency
 from .errors import ConfigError, PararealNonConvergenceError, RunError, is_integer
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
 __all__ = ["PararealEngine", "PararealReport", "check_run_settings", "run"]
 
-MODES = ("standard", "heuristic", "reusage")
+MODES = tuple(MICRO_COUNT)
 STOPPING = ("fine", "coarse")
+# the run defaults, which Scenario's run settings refer to as well
+DEFAULT_MODE = "standard"
+DEFAULT_STOPPING = "fine"
+DEFAULT_EPS_PAR = 1e-3
+DEFAULT_MAX_ITERS = 20
 # scenario mode -> engine mode; "serial" is the P = 1 run
 ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
                "heuristic": "heuristic"}
 
 
-def check_run_settings(P, mode, stopping="fine", eps_par=1e-3, max_iters=20):
+def check_run_settings(P, mode, stopping=DEFAULT_STOPPING, eps_par=DEFAULT_EPS_PAR,
+                       max_iters=DEFAULT_MAX_ITERS):
     """The one check of the run settings, with run's defaults; raises ConfigError."""
     if mode not in MODES and not (mode == "serial" and P == 1):
         raise ConfigError(f"mode must be one of {MODES} (or 'serial' at P=1), got {mode!r}")
@@ -87,7 +93,7 @@ class PararealEngine:
 
     def __init__(self, schedule: Schedule, growth_params: growth.GrowthParams,
                  micro_params: microflow.MicroParams, macro0, micro0, *,
-                 mode: str = "standard"):
+                 mode: str = DEFAULT_MODE):
         check_run_settings(schedule.P, mode)
         if schedule.P < 2:
             raise ConfigError("the parareal engine needs P >= 2; run() takes P=1 "
@@ -98,8 +104,7 @@ class PararealEngine:
         self.macro0 = macro0
         self.micro0 = micro0
         self.mode = mode
-        self.ledger = CostLedger(schedule.P)
-        self._n_s = micro_params.n_steps
+        self.ledger = CostLedger(schedule.P, micro_params.n_steps)
 
         self._steps = schedule.interval_steps()
         self._bounds = schedule.boundaries()
@@ -130,7 +135,7 @@ class PararealEngine:
                 values[p], micro[p], self._steps[p] * self.sched.dt, self._coarse_kind,
                 self.gp, self.mp,
             )
-            self.ledger.add_coarse_step(sample.cycles_used, self._n_s)
+            self.ledger.add_coarse_step(sample.cycles_used)
             values.append(c if fine_ends is None
                           else c.combine(fine_ends[p], self.c_coarse[p]))
             micro.append(w)
@@ -160,7 +165,7 @@ class PararealEngine:
             end, w, interval_steps = advance_two_scale(
                 start, warm, self._steps[p], self.sched.dt, self.gp, self.mp,
             )
-            self.ledger.add_fine_sweep(p, [row.cycles for row in interval_steps], self._n_s)
+            self.ledger.add_fine_sweep(p, [row.cycles for row in interval_steps])
             ends.append(end)
             end_micro.append(w)
             steps += interval_steps
@@ -190,7 +195,7 @@ class PararealEngine:
         for p in range(self.sched.P):
             for j in range(self._bounds[p], self._bounds[p + 1]):
                 c = c.step(stored[j], self.sched.dt, self.gp)
-                self.ledger.add_coarse_step(0, self._n_s)
+                self.ledger.add_coarse_step(0)
             new_c.append(c)
         return new_c
 
@@ -267,8 +272,8 @@ class PararealReport:
 
 def run(schedule: Schedule, growth_params: growth.GrowthParams,
         micro_params: microflow.MicroParams, macro0, micro0, *,
-        mode: str = "standard", stopping: str = "fine", eps_par: float = 1e-3,
-        max_iters: int = 20,
+        mode: str = DEFAULT_MODE, stopping: str = DEFAULT_STOPPING,
+        eps_par: float = DEFAULT_EPS_PAR, max_iters: int = DEFAULT_MAX_ITERS,
         reference: TrajectoryRecord | None = None) -> PararealReport:
     """Run the parareal algorithm until |s_k - s_{k-1}| <= eps_par.
 
@@ -301,8 +306,8 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
             f"T_end={schedule.T_end!r}")
     ref_end = reference.endpoint
     if schedule.P == 1:
-        ledger = CostLedger(1)
-        ledger.add_fine_sweep(0, reference.cycles[1:], micro_params.n_steps)
+        ledger = CostLedger(1, micro_params.n_steps)
+        ledger.add_fine_sweep(0, reference.cycles[1:])
         return PararealReport(
             mode=mode, P=1, N_l=schedule.N_l, k_par=0, converged=True, stopping=stopping,
             eps_par=eps_par, per_iteration=[], ledger=ledger, endpoint=ref_end,

@@ -12,8 +12,9 @@ departures from them.
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
-from . import growth, microflow
+from . import growth, microflow, parareal
 from .errors import ConfigError
 from .parareal import ENGINE_MODE, STOPPING, check_run_settings
 from .twoscale import DAY, Schedule
@@ -42,8 +43,8 @@ class Scenario:
     P: int = 10
     delta_tau: float = microflow.MicroParams.delta_tau
     eps_p: float = microflow.MicroParams.eps_p
-    eps_par: float = 1e-3
-    max_iters: int = 20
+    eps_par: float = parareal.DEFAULT_EPS_PAR
+    max_iters: int = parareal.DEFAULT_MAX_ITERS
     max_cycles: int = microflow.MicroParams.max_cycles
     # growth model
     alpha: float = growth.GrowthParams.alpha
@@ -66,7 +67,7 @@ class Scenario:
     ny: int = 11
     # orchestration
     mode: str = "serial"
-    stopping: str = "fine"
+    stopping: str = parareal.DEFAULT_STOPPING
     threads: int | None = None
     out_dir: str = "out"
 
@@ -96,11 +97,11 @@ class Scenario:
             raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
         # the parameter types and the run settings check themselves and raise ConfigError
         self.growth_params()
-        self.micro_params()
+        micro = self.micro_params()
         check_run_settings(self.schedule().P, ENGINE_MODE[self.mode], self.stopping,
                            self.eps_par, self.max_iters)
         if self.model == "pde":
-            growth.check_grid(self.nx, self.ny)
+            micro.check_block(growth.check_grid(self.nx, self.ny))
 
     @property
     def N_l(self) -> int:
@@ -146,11 +147,15 @@ class Scenario:
 
 
 def parse_scenario(source) -> Scenario:
-    """Load a scenario from a JSON file path, a preset name, or a dict."""
+    """Load a scenario from a JSON file path, a preset name, or a dict.
+
+    A name that is no preset, has no suffix and is no existing path is
+    taken as a mistyped preset name.
+    """
     if isinstance(source, dict):
         return Scenario.from_dict(source)
     name = str(source)
-    if name in PRESETS:
+    if name in PRESETS or not (Path(name).suffix or Path(name).exists()):
         return preset(name)
     try:
         with open(name, encoding="utf-8") as f:

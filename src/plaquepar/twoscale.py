@@ -43,7 +43,7 @@ class Schedule:
 
     T_end: float
     N_l: int
-    P: int = 1
+    P: int
 
     def __post_init__(self):
         if not 0 < self.T_end < math.inf:

@@ -152,37 +152,37 @@ def test_balanced_synthetic_runtime_identity():
     # uniform cost per fine or coarse step (2 cycles of 50 steps at unit step
     # cost plus one growth solve): estimate = (100 + T_RD) ((k+1)P + k ceil(N_l/P))
     k, P, n_l = 3, 4, 40
-    led = CostLedger(P)
+    led = CostLedger(P, 50)
     for _ in range(k):
         for p in range(P):
-            led.add_fine_sweep(p, [2] * (n_l // P), 50)
+            led.add_fine_sweep(p, [2] * (n_l // P))
         for _ in range(P):
-            led.add_coarse_step(2, 50)
+            led.add_coarse_step(2)
     for _ in range(P):  # initialization sweep
-        led.add_coarse_step(2, 50)
+        led.add_coarse_step(2)
     est = estimate_parallel_runtime(led)
     assert est == pytest.approx((100.0 + T_RD) * ((k + 1) * P + k * (n_l // P)))
 
 
 def test_unit_step_cost_counts_cycles():
-    led = CostLedger(1)
-    led.add_fine_sweep(0, [3], 50)
-    led.add_coarse_step(2, 50)
+    led = CostLedger(1, 50)
+    led.add_fine_sweep(0, [3])
+    led.add_coarse_step(2)
     # one unit per micro step, T_RD per growth solve
     assert led.synthetic_time_fine_max() == 150.0 + T_RD
     assert led.synthetic_time_coarse() == 100.0 + T_RD
     assert estimate_parallel_runtime(led) == (100.0 + T_RD) + (150.0 + T_RD)
-    assert estimate_parallel_runtime(CostLedger(1)) == 0.0
+    assert estimate_parallel_runtime(CostLedger(1, 50)) == 0.0
 
 
 # --- ledger -----------------------------------------------------------------------------
 
 def test_ledger_totals_and_serial_equivalent():
-    led = CostLedger(3)
-    led.add_fine_sweep(0, [2], 50)
-    led.add_fine_sweep(2, [2, 3], 50)
-    led.add_coarse_step(2, 50)
-    led.add_coarse_step(0, 50)  # a coarse growth solve without a micro problem
+    led = CostLedger(3, 50)
+    led.add_fine_sweep(0, [2])
+    led.add_fine_sweep(2, [2, 3])
+    led.add_coarse_step(2)
+    led.add_coarse_step(0)  # a coarse growth solve without a micro problem
     assert led.micro_fine == 3
     assert led.per_process_micro == [1, 0, 2]
     assert sum(led.per_process_micro) == led.micro_fine
@@ -196,12 +196,12 @@ def test_ledger_totals_and_serial_equivalent():
 
 
 def test_ledger_thread_safety():
-    led = CostLedger(4)
+    led = CostLedger(4, 50)
 
     def work(p):
         for _ in range(500):
-            led.add_fine_sweep(p, [2], 50)
-            led.add_coarse_step(2, 50)
+            led.add_fine_sweep(p, [2])
+            led.add_coarse_step(2)
             led.add_message()
 
     threads = [threading.Thread(target=work, args=(p,)) for p in range(4)]
@@ -219,15 +219,21 @@ def test_ledger_thread_safety():
 
 def test_ledger_validation():
     with pytest.raises(ValueError):
-        CostLedger(0)
+        CostLedger(0, 50)
     # unchecked, 2.5 raised TypeError and True was accepted
     for n, match in ((0, "need at least one process"), (2.5, "n_processes must be an integer"),
                      (True, "n_processes must be an integer")):
         with pytest.raises(ConfigError, match=match):
-            CostLedger(n)
+            CostLedger(n, 50)
+    # N_s is given once, at construction, by the same integer rule
+    for n_steps, match in ((0, "n_steps must be >= 1"), (0.5, "n_steps must be an integer")):
+        with pytest.raises(ConfigError, match=match):
+            CostLedger(1, n_steps)
     with pytest.raises(TypeError):
         CostLedger()  # the process count has no default
-    assert len(CostLedger(np.int64(3)).per_process_micro) == 3
+    with pytest.raises(TypeError):
+        CostLedger(1)  # nor has N_s
+    assert len(CostLedger(np.int64(3), 50).per_process_micro) == 3
 
 
 # --- table emitters ------------------------------------------------------------------------

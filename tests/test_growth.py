@@ -133,6 +133,15 @@ def test_grid_too_large_rejected(nx, ny):
     growth.check_grid(2001, 2001)  # the largest valid grid with a midpoint node
 
 
+@pytest.mark.parametrize("nx, width", [(9, 1), (11, 1), (13, 3), (101, 19), (2001, 399)])
+def test_check_grid_returns_the_support_size(nx, width):
+    # what the scenario's micro-block bound multiplies, without building the grid
+    assert growth.check_grid(nx, 3) == width
+    if nx < 2001:
+        support = SolidGrid(nx, 3).support
+        assert support.stop - support.start == width
+
+
 def test_grid_midpoint_missing():
     g = SolidGrid(10, 3)  # even nx: no x=0 node
     with pytest.raises(GridAlignmentError):

@@ -200,9 +200,9 @@ def test_stationary_offset_variant():
 
 def test_stationary_counts_no_micro_problem():
     from plaquepar.costs import CostLedger
-    led = CostLedger(1)
+    led = CostLedger(1, MP.n_steps)
     sample = solve_stationary_surrogate(ScalarState(0.0), MP, GP)
-    led.add_coarse_step(sample.cycles_used, MP.n_steps)
+    led.add_coarse_step(sample.cycles_used)
     assert (led.rd_coarse, led.micro_coarse, led.fsi_steps_coarse) == (1, 0, 0)
     assert led.micro_total == 0
 

@@ -401,7 +401,11 @@ def test_cli_presets_command(tmp_path):
                                        {"T_end_days": 1e308, "dt_days": 1e-300},
                                        {"delta_tau": 5e-324},
                                        # more samples per cycle than the bound
-                                       {"delta_tau": 1e-300}])
+                                       {"delta_tau": 1e-300},
+                                       {"rho_s": 0.0},
+                                       # a two-cycle WSS block above the bound
+                                       {"model": "pde", "nx": 2001, "ny": 3,
+                                        "delta_tau": 1e-5}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     flags = {k: v for k, v in overrides.items() if k.startswith("--")}
     path = tmp_path / "bad.json"
@@ -432,6 +436,13 @@ def test_grid_check_builds_no_grid_and_keeps_the_grid_message(monkeypatch, nx, n
         preset("pde_paper", nx=nx, ny=ny)
     assert str(parsed.value) == str(built.value)
     preset("pde_paper")
+
+
+def test_micro_block_bound_admits_the_preset_grid_at_the_sample_limit():
+    # 2 x 100,000 samples x 19 support nodes; two more nodes cross the bound
+    assert preset("pde_paper", delta_tau=1e-5).micro_params().n_steps == 100_000
+    with pytest.raises(ConfigError, match="2 x 100000 x 21 = 4200000 values"):
+        preset("pde_paper", delta_tau=1e-5, nx=105)
 
 
 def assert_run_leaves_scipy_unloaded(path):
@@ -524,8 +535,14 @@ def test_cli_sweep_with_every_column_failed_is_a_run_failure(tmp_path, capsys):
     ]
 
 
-def test_cli_missing_scenario_file(tmp_path):
+def test_cli_missing_scenario_file(tmp_path, monkeypatch, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 1
+    # a name with no suffix that is no path is a mistyped preset name
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--scenario", "nope"]) == 2
+    assert capsys.readouterr().err == ("configuration error: unknown preset 'nope'; "
+                                       "available: ['ode_paper', 'pde_paper']\n")
 
 
 def test_run_scenario_returns_schema(tmp_path):

@@ -1,4 +1,4 @@
-"""Every module, test and demo parses as Python 3.10, the floor pyproject.toml declares."""
+"""Every module, test, demo and tool parses as Python 3.10, the floor pyproject.toml declares."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,8 @@ import plaquepar
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(plaquepar.__file__).parent.glob("*.py"))
-SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py"),
+                  *ROOT.glob("tools/*.py")])
 
 
 def test_floor_is_the_declared_one():

@@ -48,11 +48,11 @@ def test_schedule_divisible_case():
 def test_schedule_validation():
     for t_end in (-1.0, float("nan")):
         with pytest.raises(ConfigError, match="T_end"):
-            Schedule(t_end, 10)
+            Schedule(t_end, 10, 1)
     with pytest.raises(ConfigError):
         Schedule(10.0, 10, 11)  # P > N_l
     with pytest.raises(ConfigError):
-        Schedule(10.0, 0)
+        Schedule(10.0, 0, 1)
     assert [f.name for f in dataclasses.fields(Schedule)] == ["T_end", "N_l", "P"]
 
 
@@ -73,7 +73,7 @@ def test_schedule_rejects_non_integer_counts(field, value):
     *[(GrowthParams, name) for name in ("alpha", "sigma0", "D_s", "R_s")],
 ])
 def test_parameter_types_reject_infinity(cls, field):
-    args = {"T_end": 10.0, "N_l": 10} if cls is Schedule else {}
+    args = {"T_end": 10.0, "N_l": 10, "P": 1} if cls is Schedule else {}
     with pytest.raises(ValueError, match=field):
         cls(**{**args, field: math.inf})
 
@@ -109,7 +109,7 @@ def test_reference_run_counts_thousand_micro_problems():
 
 def test_serial_deterministic():
     a = ode_run(30, 60)
-    dt = Schedule(30 * DAY, 60).dt
+    dt = Schedule(30 * DAY, 60, 1).dt
     end_micro = []
     # one run, a repeat, and the same 60 steps as chained advance_two_scale
     # calls carrying the micro state along (as demo 04 reads its profiles)
