@@ -121,6 +121,8 @@ def _cmd_sweep(args) -> int:
     failed = False
     if args.formula_only:
         columns = _formula_columns(scenarios, args.kpar)
+    elif args.kpar is not None:
+        raise ConfigError("--kpar needs --formula-only")
     else:
         # P = 1: the serial reference run that every column compares with
         reference = twoscale.run_serial(base.schedule(), base.growth_params(),

@@ -21,7 +21,7 @@ plus the maximum fine time over the processes.
 import math
 import threading
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, check_integer, check_processes
 
 __all__ = [
     "CostLedger",
@@ -39,22 +39,9 @@ __all__ = [
 ]
 
 
-def _check_count(name: str, value, message: str | None = None):
-    """The one integer rule for a count: an integer >= 1, else ConfigError."""
-    if not is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{message or name + ' must be >= 1'}, got {value}")
-
-
 def _check_kp(k: int, P: int, N_l: int):
-    for name, value in (("iteration count", k), ("P", P), ("N_l", N_l)):
-        if not is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if k < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {k}")
-    if not 1 <= P <= N_l:
-        raise ConfigError(f"P must satisfy 1 <= P <= N_l={N_l}, got {P}")
+    check_integer("iteration count", k, 1)
+    check_processes(P, N_l)
 
 
 def count_standard(k: int, P: int, N_l: int) -> int:
@@ -83,31 +70,30 @@ def count_rd_reusage(k: int, P: int, N_l: int) -> int:
 
 def ratio_bound(N_l: int) -> float:
     """Upper bound sqrt(N_l)/2 + 1 on rd solves per micro problem (re-usage)."""
-    _check_count("N_l", N_l)
+    check_integer("N_l", N_l, 1)
     return math.sqrt(N_l) / 2.0 + 1.0
 
 
 def speedup_efficiency(count: int, N_l: int, P: int):
     """Speedup N_l/count versus the serial reference and efficiency speedup/P."""
-    _check_count("micro-problem count", count, "micro-problem count must be positive")
-    _check_count("N_l", N_l)
-    _check_count("P", P, "need at least one process")
+    check_integer("micro-problem count", count, 1)
+    check_processes(P, N_l)
     speedup = N_l / count
     return speedup, speedup / P
 
 
-def optimal_processes(N_l: int, mode: str = "standard", k: int | None = None) -> int:
+def optimal_processes(N_l: int, mode: str, k: int | None = None) -> int:
     """Process count minimizing the cost model (k assumed P-independent).
 
     standard: P ~ sqrt(N_l);  reusage: P ~ sqrt(k * N_l).
     """
-    _check_count("N_l", N_l)
+    check_integer("N_l", N_l, 1)
     if mode == "standard":
         return max(1, round(math.sqrt(N_l)))
     if mode == "reusage":
         if k is None:
             raise ConfigError("reusage optimum needs the iteration count k")
-        _check_count("iteration count k", k)
+        check_integer("iteration count k", k, 1)
         return max(1, round(math.sqrt(k * N_l)))
     raise ConfigError(f"unknown mode {mode!r}")
 
@@ -138,8 +124,8 @@ class CostLedger:
     """
 
     def __init__(self, n_processes: int, n_steps: int):
-        _check_count("n_processes", n_processes, "need at least one process")
-        _check_count("n_steps", n_steps)
+        check_integer("n_processes", n_processes, 1)
+        check_integer("n_steps", n_steps, 1)
         self.n_steps = n_steps
         self._lock = threading.Lock()
         self.per_process_micro = [0] * n_processes
@@ -184,26 +170,18 @@ class CostLedger:
         return self.micro_fine
 
     @property
-    def per_process_rd(self) -> list:
-        return list(self.per_process_micro)
-
-    @property
-    def micro_total(self) -> int:
-        return self.micro_fine + self.micro_coarse
-
-    @property
     def micro_serial_equivalent(self) -> int:
         """max-per-process fine count plus all coarse micro problems."""
         return max(self.per_process_micro) + self.micro_coarse
 
     @property
     def rd_serial_equivalent(self) -> int:
-        return max(self.per_process_rd) + self.rd_coarse
+        return max(self.per_process_micro) + self.rd_coarse
 
     def synthetic_time_fine_max(self) -> float:
         """Largest per-process fine time under the synthetic cost model."""
         return max(FSI_STEP_COST * steps + T_RD * rd
-                   for steps, rd in zip(self.per_process_fsi_steps, self.per_process_rd))
+                   for steps, rd in zip(self.per_process_fsi_steps, self.per_process_micro))
 
     def synthetic_time_coarse(self) -> float:
         return FSI_STEP_COST * self.fsi_steps_coarse + T_RD * self.rd_coarse

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the one integer rule of its checks."""
+"""Exception types shared across the package, and the rules of its parameter checks.
 
+The rules run when a parameter object is built, never per step.
+"""
+
+import math
 import numbers
 
 
@@ -10,6 +14,29 @@ def is_integer(value) -> bool:
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration, raised by the type that owns the value (exit 2)."""
+
+
+def check_integer(name: str, value, least: int):
+    """The integer rule: ``is_integer(value)`` and value >= least, else ConfigError."""
+    if not (is_integer(value) and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_processes(P, N_l):
+    """The process-count rule: integers N_l and P with 1 <= P <= N_l, else ConfigError."""
+    check_integer("N_l", N_l, 1)
+    check_integer("P", P, 1)
+    if P > N_l:
+        raise ConfigError(f"P must satisfy 1 <= P <= N_l={N_l}, got {P}")
+
+
+def check_number(name: str, value, zero_ok: bool = False):
+    """The number rule: a finite real (not bool) above zero, or at zero too when
+    ``zero_ok``, else ConfigError."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (0 <= value if zero_ok else 0 < value) and value < math.inf):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ConfigError(f"{name} must be {sign} and finite, got {value}")
 
 
 class RunError(RuntimeError):

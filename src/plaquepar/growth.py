@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, GridAlignmentError, ImexStepError
+from .errors import ConfigError, GridAlignmentError, ImexStepError, check_number
 
 __all__ = [
     "GrowthParams",
@@ -70,13 +70,10 @@ class GrowthParams:
     reaction_sign: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            # alpha = 0 is allowed as the degenerate no-growth configuration
-            raise ConfigError(f"alpha must be non-negative and finite, got {self.alpha}")
+        # alpha = 0 is allowed as the degenerate no-growth configuration
+        check_number("alpha", self.alpha, zero_ok=True)
         for name in ("sigma0", "D_s", "R_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)}")
+            check_number(name, getattr(self, name))
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if isinstance(self.reaction_sign, bool) or self.reaction_sign not in (1, -1):

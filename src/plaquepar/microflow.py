@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import growth
-from .errors import ChannelClosureError, ConfigError, MicroNonConvergenceError, is_integer
+from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
+                     check_integer, check_number)
 
 __all__ = [
     "MicroParams",
@@ -98,14 +99,9 @@ class MicroParams:
     def __post_init__(self):
         for name in ("rho_f", "nu_f", "c_geo", "inflow_amplitude", "delta_tau",
                      "h_min", "eps_p"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)}")
-        if not 0 <= self.lambda_relax < math.inf:
-            raise ConfigError(f"lambda_relax must be non-negative and finite, "
-                              f"got {self.lambda_relax}")
-        if not (is_integer(self.max_cycles) and self.max_cycles >= 2):
-            raise ConfigError(f"max_cycles must be an integer >= 2, got {self.max_cycles}")
+            check_number(name, getattr(self, name))
+        check_number("lambda_relax", self.lambda_relax, zero_ok=True)
+        check_integer("max_cycles", self.max_cycles, 2)
         if isinstance(self.inflow_offset, bool) or self.inflow_offset not in (0, 1):
             raise ConfigError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
         if self.delta_tau < 1.0 / _MAX_SAMPLES:

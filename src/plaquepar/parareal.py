@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 from . import growth, microflow
 from .costs import MICRO_COUNT, CostLedger, estimate_parallel_runtime, speedup_efficiency
-from .errors import ConfigError, PararealNonConvergenceError, RunError, is_integer
+from .errors import (ConfigError, PararealNonConvergenceError, RunError, check_integer,
+                     check_number)
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
@@ -75,10 +76,8 @@ def check_run_settings(P, mode, stopping=DEFAULT_STOPPING, eps_par=DEFAULT_EPS_P
         raise ConfigError(f"mode must be one of {MODES} (or 'serial' at P=1), got {mode!r}")
     if stopping not in STOPPING:
         raise ConfigError(f"stopping must be one of {STOPPING}, got {stopping!r}")
-    if not 0 < eps_par < math.inf:
-        raise ConfigError(f"eps_par must be positive and finite, got {eps_par}")
-    if not (is_integer(max_iters) and max_iters >= 1):
-        raise ConfigError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    check_number("eps_par", eps_par)
+    check_integer("max_iters", max_iters, 1)
 
 
 class PararealEngine:

@@ -7,14 +7,13 @@ forward Euler for the scalar ODE model, one IMEX step for the
 reaction-diffusion model.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import growth, microflow
-from .errors import ConfigError, is_integer
+from .errors import check_number, check_processes
 
 __all__ = [
     "DAY",
@@ -46,16 +45,8 @@ class Schedule:
     P: int
 
     def __post_init__(self):
-        if not 0 < self.T_end < math.inf:
-            raise ConfigError(f"T_end must be positive and finite, got {self.T_end}")
-        for name in ("N_l", "P"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.N_l < 1:
-            raise ConfigError(f"N_l must be at least 1, got {self.N_l}")
-        if not 1 <= self.P <= self.N_l:
-            raise ConfigError(f"P must satisfy 1 <= P <= N_l={self.N_l}, got {self.P}")
+        check_number("T_end", self.T_end)
+        check_processes(self.P, self.N_l)
 
     @property
     def dt(self) -> float:

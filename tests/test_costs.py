@@ -85,7 +85,8 @@ def test_ratio_bound():
     assert ratio_bound(np.int64(4)) == 2.0
     # unchecked, True returned 1.5 and -1 raised a bare math-domain error
     for n_l, match in ((True, "N_l must be an integer"), (4.0, "N_l must be an integer"),
-                       (0, "N_l must be >= 1"), (-1, "N_l must be >= 1")):
+                       (0, "N_l must be an integer >= 1"),
+                       (-1, "N_l must be an integer >= 1")):
         with pytest.raises(ConfigError, match=match):
             ratio_bound(n_l)
 
@@ -109,11 +110,11 @@ def test_speedup_efficiency_paper_rows():
     s, e = speedup_efficiency(1000, 1000, 1)
     assert s == 1.0 and e == 1.0
     # unchecked, P = 0 raised ZeroDivisionError
-    for args, match in (((0, 1000, 1), "micro-problem count must be positive"),
+    for args, match in (((0, 1000, 1), "micro-problem count must be an integer >= 1"),
                         ((222.0, 1000, 30), "micro-problem count must be an integer"),
-                        ((222, 0, 30), "N_l must be >= 1"),
+                        ((222, 0, 30), "N_l must be an integer >= 1"),
                         ((222, 1000.0, 30), "N_l must be an integer"),
-                        ((10, 1000, 0), "need at least one process"),
+                        ((10, 1000, 0), "P must be an integer >= 1"),
                         ((10, 1000, True), "P must be an integer")):
         with pytest.raises(ConfigError, match=match):
             speedup_efficiency(*args)
@@ -128,11 +129,12 @@ def test_optimal_processes():
     with pytest.raises(ValueError, match="unknown mode"):
         optimal_processes(1000, "bogus")
     # unchecked, the first returned 1 and the second 50
-    for args, kwargs, match in (((True,), {}, "N_l must be an integer"),
+    for args, kwargs, match in (((True, "standard"), {}, "N_l must be an integer"),
                                 ((1000, "reusage"), {"k": 2.5},
                                  "iteration count k must be an integer"),
-                                ((0,), {}, "N_l must be >= 1"),
-                                ((1000, "reusage"), {"k": 0}, "iteration count k must be >= 1")):
+                                ((0, "standard"), {}, "N_l must be an integer >= 1"),
+                                ((1000, "reusage"), {"k": 0},
+                                 "iteration count k must be an integer >= 1")):
         with pytest.raises(ConfigError, match=match):
             optimal_processes(*args, **kwargs)
 
@@ -190,7 +192,7 @@ def test_ledger_totals_and_serial_equivalent():
     assert led.micro_coarse == 1 and led.fsi_steps_coarse == 100
     assert led.micro_serial_equivalent == 2 + 1
     # every fine step is one micro problem plus one growth solve
-    assert led.rd_fine == 3 and led.per_process_rd == [1, 0, 2]
+    assert led.rd_fine == 3 and led.per_process_micro == [1, 0, 2]
     assert led.rd_coarse == 2
     assert led.rd_serial_equivalent == 2 + 2
 
@@ -221,12 +223,14 @@ def test_ledger_validation():
     with pytest.raises(ValueError):
         CostLedger(0, 50)
     # unchecked, 2.5 raised TypeError and True was accepted
-    for n, match in ((0, "need at least one process"), (2.5, "n_processes must be an integer"),
+    for n, match in ((0, "n_processes must be an integer >= 1"),
+                     (2.5, "n_processes must be an integer"),
                      (True, "n_processes must be an integer")):
         with pytest.raises(ConfigError, match=match):
             CostLedger(n, 50)
     # N_s is given once, at construction, by the same integer rule
-    for n_steps, match in ((0, "n_steps must be >= 1"), (0.5, "n_steps must be an integer")):
+    for n_steps, match in ((0, "n_steps must be an integer >= 1"),
+                           (0.5, "n_steps must be an integer")):
         with pytest.raises(ConfigError, match=match):
             CostLedger(1, n_steps)
     with pytest.raises(TypeError):

@@ -204,7 +204,7 @@ def test_stationary_counts_no_micro_problem():
     sample = solve_stationary_surrogate(ScalarState(0.0), MP, GP)
     led.add_coarse_step(sample.cycles_used)
     assert (led.rd_coarse, led.micro_coarse, led.fsi_steps_coarse) == (1, 0, 0)
-    assert led.micro_total == 0
+    assert led.micro_fine + led.micro_coarse == 0
 
 
 # --- half-width law -----------------------------------------------------------

@@ -283,7 +283,7 @@ def test_initialize_ledger_attribution():
     assert eng.ledger.micro_coarse == 4  # P coarse micro problems
     assert eng.ledger.micro_fine == 0
     eng_h = PararealEngine(sched, GP, MP, m0, w0, mode="heuristic").initialize()
-    assert eng_h.ledger.micro_total == 0  # stationary solves are free
+    assert eng_h.ledger.micro_fine + eng_h.ledger.micro_coarse == 0  # stationary solves are free
     eng_r = PararealEngine(sched, GP, MP, m0, w0, mode="reusage").initialize()
     assert eng_r.ledger.micro_coarse == 4  # re-usage still pays for step (I)
 
@@ -353,7 +353,7 @@ def test_engine_counts_fine_sweeps_from_rows(mode, P):
     assert micro == sched.interval_steps()  # N_l mod P != 0
     assert led.per_process_micro == micro
     assert led.per_process_fsi_steps == steps
-    assert led.per_process_rd == rd
+    assert led.per_process_micro == rd
     assert led.micro_fine == led.rd_fine == 17
 
 
@@ -385,8 +385,8 @@ def test_engine_counts_pde_reusage_sweeps_from_rows():
     eng.iterate()
     micro, steps, rd = _tally(eng)
     led = eng.ledger
-    assert (led.per_process_micro, led.per_process_fsi_steps, led.per_process_rd) == (
-        micro, steps, rd)
+    assert (led.per_process_micro, led.per_process_fsi_steps) == (micro, steps)
+    assert led.per_process_micro == rd  # one rd solve per fine step
     assert led.micro_coarse == 4 and led.rd_coarse == 4 + 17  # init + re-propagation
 
 
@@ -546,7 +546,8 @@ def test_failure_before_any_micro_problem_has_nan_speedup():
     with pytest.raises(MicroNonConvergenceError) as exc:
         run(sched, GP, strict, m0, w0, reference=serial_reference(sched))
     rep = exc.value.report
-    assert rep.k_par == 0 and rep.ledger.micro_total == 0 and rep.ledger.rd_coarse == 0
+    assert rep.k_par == 0 and rep.ledger.micro_fine + rep.ledger.micro_coarse == 0
+    assert rep.ledger.rd_coarse == 0
     assert np.isnan(rep.speedup) and np.isnan(rep.efficiency)
     assert rep.endpoint == 0.0
 

@@ -76,7 +76,11 @@ def test_parameter_types_raise_config_errors():
     for build in (lambda: GrowthParams(sigma0=-1), lambda: MicroParams(delta_tau=0.3),
                   lambda: growth.SolidGrid(2, 3), lambda: growth.check_grid(10, 3),
                   lambda: GrowthParams(reaction_sign=True),
-                  lambda: MicroParams(inflow_offset=True)):
+                  lambda: MicroParams(inflow_offset=True),
+                  lambda: GrowthParams(sigma0=True), lambda: GrowthParams(alpha=False),
+                  lambda: MicroParams(c_geo=True), lambda: MicroParams(lambda_relax=True),
+                  lambda: twoscale.Schedule(True, 10, 2),
+                  lambda: parareal.check_run_settings(4, "standard", "fine", True)):
         with pytest.raises(ConfigError):
             build()
 
@@ -295,6 +299,12 @@ def test_cli_sweep_formula_needs_matching_kpar(tmp_path, capsys):
                "--formula-only", "--out", str(tmp_path)])
     assert rc == 2
     assert "--formula-only needs --kpar" in capsys.readouterr().err
+    # --kpar only feeds the closed-form counts; a live sweep used to drop it
+    rc = main(["sweep", "--scenario", "ode_paper", "--P", "2", "--kpar", "3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "configuration error: --kpar needs --formula-only\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_sweep_empty_p_list(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from plaquepar import parareal
+from plaquepar import costs, parareal
 from plaquepar.errors import ConfigError
 from plaquepar.growth import FieldState, GrowthParams, ScalarState, SolidGrid
 from plaquepar.microflow import MicroParams, MicroState
@@ -51,6 +51,10 @@ def test_schedule_validation():
             Schedule(t_end, 10, 1)
     with pytest.raises(ConfigError):
         Schedule(10.0, 10, 11)  # P > N_l
+    # the schedule and the closed-form counts share one process-count rule
+    for build in (lambda: Schedule(1.0, 10, 11), lambda: costs.count_standard(3, 11, 10)):
+        with pytest.raises(ConfigError, match=r"^P must satisfy 1 <= P <= N_l=10, got 11$"):
+            build()
     with pytest.raises(ConfigError):
         Schedule(10.0, 0, 1)
     assert [f.name for f in dataclasses.fields(Schedule)] == ["T_end", "N_l", "P"]

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 # bump when a case is added, removed or changed, so manifests say which list made them
-CASES_VERSION = 1
+CASES_VERSION = 2
 
 
 class Case(NamedTuple):
@@ -127,6 +127,8 @@ def cases() -> list:
                              "parareal", "--P", "1001", "--out", "out")),
         Case("kpar_mismatch", ("plaquepar", "sweep", "--scenario", "ode_paper", "--P",
                                "10,20", "--formula-only", "--kpar", "3", "--out", "out")),
+        Case("kpar_without_formula_only", ("plaquepar", "sweep", "--scenario", "scn.json",
+                                           "--P", "2", "--kpar", "3", "--out", "out"), ODE_30),
         Case("sweep_serial_mode", ("plaquepar", "sweep", "--scenario", "ode_paper",
                                    "--mode", "serial", "--P", "10", "--out", "out")),
     ]
