@@ -12,6 +12,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Any ``numbers.Real`` (numpy's floats and integers too) except bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration, raised by the type that owns the value (exit 2)."""
 
@@ -33,8 +38,7 @@ def check_processes(P, N_l):
 def check_number(name: str, value, zero_ok: bool = False):
     """The number rule: a finite real (not bool) above zero, or at zero too when
     ``zero_ok``, else ConfigError."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (0 <= value if zero_ok else 0 < value) and value < math.inf):
+    if not (is_real(value) and (0 <= value if zero_ok else 0 < value) and value < math.inf):
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"{name} must be {sign} and finite, got {value}")
 

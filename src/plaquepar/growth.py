@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, GridAlignmentError, ImexStepError, check_number
+from .errors import ConfigError, GridAlignmentError, ImexStepError, check_number, is_real
 
 __all__ = [
     "GrowthParams",
@@ -74,7 +74,7 @@ class GrowthParams:
         check_number("alpha", self.alpha, zero_ok=True)
         for name in ("sigma0", "D_s", "R_s"):
             check_number(name, getattr(self, name))
-        if not 0.0 <= self.theta <= 1.0:
+        if not (is_real(self.theta) and 0.0 <= self.theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if isinstance(self.reaction_sign, bool) or self.reaction_sign not in (1, -1):
             raise ConfigError(f"reaction_sign must be +1 or -1, got {self.reaction_sign}")

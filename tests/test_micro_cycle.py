@@ -10,16 +10,20 @@ and the written stopping rule; the two must agree exactly (``==``), not
 approximately.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from plaquepar import microflow
+from plaquepar.cli import main
 from plaquepar.errors import ChannelClosureError, MicroNonConvergenceError
 from plaquepar.growth import (FieldState, GrowthParams, ScalarState, SolidGrid, gamma_ode,
                               gamma_pde)
 from plaquepar.microflow import (MicroParams, MicroState, advance_cycle, periodic_orbit,
                                  solve_micro_problem, solve_stationary_surrogate,
                                  wall_shear_stress)
+from plaquepar.scenario import preset
 from plaquepar.twoscale import DAY, advance_two_scale
 
 ODE_GP = GrowthParams()
@@ -276,12 +280,94 @@ def test_stationary_surrogate_equals_full_width_formula(model):
     assert sample.cycles_used == 0
 
 
+# --- the memo of advance_cycle: a repeated start reuses its block, bit for bit
+
+@pytest.mark.parametrize("cycles", [None, 2, 3])
+@pytest.mark.parametrize("model", ["ode", "pde"])
+def test_a_repeated_start_gives_the_bits_of_a_fresh_block(model, cycles):
+    def params():
+        return MicroParams(lambda_relax=1.0, c_geo=C_GEO[1],
+                           inflow_offset=0.0 if model == "ode" else 1.0)
+    state = ode_state() if model == "ode" else pde_state()
+    h = state.on_support(state.half_width())
+    assert isinstance(h, float) == (model == "ode")
+    mp, w0 = params(), MicroState(7.5)
+    advance_cycle(w0, h, mp, cycles)
+    block = mp._block
+    ends, wss = advance_cycle(MicroState(7.5), h, mp, cycles)  # a hit
+    assert mp._block is block
+    fresh_ends, fresh_wss = advance_cycle(w0, h, params(), cycles)  # a miss
+    assert ends == fresh_ends
+    assert wss.shape == fresh_wss.shape and np.array_equal(wss, fresh_wss)
+    # a start of another value or type, or another block length, builds its own block
+    for q0, k in ((7.5 + 1e-15, cycles), (np.float32(7.5), cycles),
+                  (7.5, 4 if cycles else 1)):
+        advance_cycle(MicroState(q0), h, mp, k)
+        assert mp._block is not block
+        assert mp._block[0] == q0 and type(mp._block[0]) is type(q0) and mp._block[1] == k
+
+
+def test_signed_zero_starts_share_a_block():
+    mp, h = MicroParams(), 0.8
+    assert periodic_orbit(0.0, mp) > 0
+    advance_cycle(MicroState(0.0), h, mp, 2)
+    block = mp._block
+    ends, wss = advance_cycle(MicroState(-0.0), h, mp, 2)  # a hit
+    assert mp._block is block
+    fresh_ends, fresh_wss = advance_cycle(MicroState(-0.0), h, MicroParams(), 2)
+    assert ends == fresh_ends and np.array_equal(wss, fresh_wss)
+
+
+@pytest.mark.parametrize("model", ["ode", "pde"])
+def test_the_cached_flux_is_read_only_and_the_wss_the_callers_own(model):
+    mp = MicroParams(inflow_offset=0.0 if model == "ode" else 1.0)
+    state = ode_state() if model == "ode" else pde_state()
+    h = state.on_support(state.half_width())
+    for _ in range(2):  # a miss, then a hit
+        _, wss = advance_cycle(MicroState(3.0), h, mp, 2)
+        flux = mp._block[3]
+        assert not flux.flags.writeable
+        with pytest.raises(ValueError):
+            flux[0, 0] = 1.0
+        assert wss.flags.writeable and not np.shares_memory(wss, flux)
+
+
+def _run_outputs(tmp_path, name, scn, mode):
+    scenario = tmp_path / "scenario.json"
+    scn.to_json(scenario)
+    out = tmp_path / name
+    assert main(["run", "--scenario", str(scenario), "--mode", mode, "--P", "4",
+                 "--stopping", "coarse", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    del report["wall_clock"]
+    return (json.dumps(report, sort_keys=True), (out / "trajectory.csv").read_bytes(),
+            (out / "table.txt").read_bytes())
+
+
+@pytest.mark.parametrize("mode", ["serial", "parareal", "reusage", "heuristic"])
+@pytest.mark.parametrize("name, overrides", [("ode_paper", {"T_end_days": 24.0}),
+                                             ("pde_paper", {"T_end_days": 6.0})],
+                         ids=["ode_paper", "pde_paper"])
+def test_runs_write_the_same_outputs_without_the_memo(tmp_path, monkeypatch, name,
+                                                      overrides, mode):
+    scn = preset(name, **overrides)
+    memo = _run_outputs(tmp_path, "memo", scn, mode)
+    original = microflow.advance_cycle
+
+    def cleared(w0, h, params, cycles=None):
+        object.__setattr__(params, "_block", None)
+        return original(w0, h, params, cycles)
+    monkeypatch.setattr(microflow, "advance_cycle", cleared)
+    assert _run_outputs(tmp_path, "cleared", scn, mode) == memo
+
+
 # --- call counts: the structure of the speed-up, which wall time is too noisy to pin
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count calls of the cycle kernel and of the micro problem, as a span tracer sees them."""
-    calls = {"advance_cycle": 0, "solve_micro_problem": 0}
+    """Count calls of the cycle kernel and of the micro problem, as a span tracer sees
+    them, and the blocks the kernel builds (its memo misses)."""
+    calls = {"advance_cycle": 0, "solve_micro_problem": 0, "_state_block": 0}
     for name in calls:
         original = getattr(microflow, name)
 
@@ -313,3 +399,11 @@ def test_two_scale_steps_make_one_micro_problem_call_each(model, counted):
     _, _, steps = advance_two_scale(state, MicroState(0.0), 7, 0.3 * DAY, gp, mp)
     assert counted["solve_micro_problem"] == 7
     assert counted["advance_cycle"] == sum(row.cycles - 1 for row in steps)
+
+
+def test_most_kernel_calls_reuse_the_block_before(tmp_path, counted):
+    # the 16-step ODE input at P = 4: warm starts converge to a fixed float
+    scn = preset("ode_paper", T_end_days=24.0, dt_days=1.5)
+    assert _run_outputs(tmp_path, "out", scn, "parareal")
+    assert counted["solve_micro_problem"] == 80
+    assert (counted["advance_cycle"], counted["_state_block"]) == (88, 38)

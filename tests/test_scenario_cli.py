@@ -78,6 +78,7 @@ def test_parameter_types_raise_config_errors():
                   lambda: GrowthParams(reaction_sign=True),
                   lambda: MicroParams(inflow_offset=True),
                   lambda: GrowthParams(sigma0=True), lambda: GrowthParams(alpha=False),
+                  lambda: GrowthParams(theta=True), lambda: GrowthParams(theta="0.5"),
                   lambda: MicroParams(c_geo=True), lambda: MicroParams(lambda_relax=True),
                   lambda: twoscale.Schedule(True, 10, 2),
                   lambda: parareal.check_run_settings(4, "standard", "fine", True)):
