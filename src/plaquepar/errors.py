@@ -17,6 +17,12 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """value as a message shows it: a real number (numpy's too) as ``str``, anything
+    else as ``repr``, so that a string reads quoted and not as a number."""
+    return str(value) if is_real(value) else repr(value)
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration, raised by the type that owns the value (exit 2)."""
 
@@ -40,7 +46,7 @@ def check_number(name: str, value, zero_ok: bool = False):
     ``zero_ok``, else ConfigError."""
     if not (is_real(value) and (0 <= value if zero_ok else 0 < value) and value < math.inf):
         sign = "non-negative" if zero_ok else "positive"
-        raise ConfigError(f"{name} must be {sign} and finite, got {value}")
+        raise ConfigError(f"{name} must be {sign} and finite, got {shown(value)}")
 
 
 class RunError(RuntimeError):

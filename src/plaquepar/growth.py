@@ -28,7 +28,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, GridAlignmentError, ImexStepError, check_number, is_real
+from .errors import (ConfigError, GridAlignmentError, ImexStepError, check_number, is_real,
+                     shown)
 
 __all__ = [
     "GrowthParams",
@@ -75,9 +76,9 @@ class GrowthParams:
         for name in ("sigma0", "D_s", "R_s"):
             check_number(name, getattr(self, name))
         if not (is_real(self.theta) and 0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
+            raise ConfigError(f"theta must lie in [0, 1], got {shown(self.theta)}")
         if isinstance(self.reaction_sign, bool) or self.reaction_sign not in (1, -1):
-            raise ConfigError(f"reaction_sign must be +1 or -1, got {self.reaction_sign}")
+            raise ConfigError(f"reaction_sign must be +1 or -1, got {shown(self.reaction_sign)}")
 
 
 class SolidGrid:
@@ -238,17 +239,15 @@ class ScalarState:
         """The values where growth is evaluated: all of them, as this model has one node."""
         return values
 
-    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> float | list:
-        """Growth rate averaged over the last (sample) axis of the array wss.
+    def average_growth(self, wss_sq: np.ndarray, p: GrowthParams) -> float | list:
+        """Growth rate averaged over the last (sample) axis of the array wss_sq
+        of squared wall shear stress values.
 
         Returns a float for samples of shape (N_s,), and a list with one
-        float per cycle for a block of shape (k, N_s).
+        float per cycle for a block of shape (k, N_s).  The squares come
+        from ``microflow``, so they are not checked for sign.
         """
-        # ufunc reductions called directly: the ndarray methods add a
-        # Python-level wrapper per call
-        if np.minimum.reduce(wss, axis=None) < 0:  # c_s >= 0 holds since construction
-            raise ValueError("wall shear stress norm must be non-negative")
-        gamma = _gamma_ode(wss, self.c_s, p)
+        gamma = _gamma_ode(wss_sq, self.c_s, p)
         # the sum and division of np.mean, without its per-call dispatch
         return (np.add.reduce(gamma, axis=-1) / gamma.shape[-1]).tolist()
 
@@ -322,24 +321,22 @@ class FieldState:
         """The entries of a per-node array (nodes on the last axis) on the damage support."""
         return values[..., self.grid.support]
 
-    def average_growth(self, wss: np.ndarray, p: GrowthParams) -> np.ndarray | list:
-        """Interface growth flux averaged over the sample axis of the array wss.
+    def average_growth(self, wss_sq: np.ndarray, p: GrowthParams) -> np.ndarray | list:
+        """Interface growth flux averaged over the sample axis of the array wss_sq.
 
-        wss holds the wall shear stress on the grid's damage support
-        (last axis, see ``on_support``) at each sample (the axis before
-        it).  Returns one flux per interface node, exact zeros off the
-        support, which is what the full-width mean gives there: an (nx,)
-        array for samples of shape (N_s, m), and a list with one such
-        array per cycle for a block of shape (k, N_s, m).
+        wss_sq holds the squared wall shear stress on the grid's damage
+        support (last axis, see ``on_support``) at each sample (the axis
+        before it); the squares come from ``microflow``, so they are not
+        checked for sign.  Returns one flux per interface node, exact
+        zeros off the support, which is what the full-width mean gives
+        there: an (nx,) array for samples of shape (N_s, m), and a list
+        with one such array per cycle for a block of shape (k, N_s, m).
         """
         grid = self.grid
-        if wss.shape[-1] != grid.support_weight.size:
-            raise ValueError(f"wss must hold one value per support node "
-                             f"({grid.support_weight.size}), got shape {wss.shape}")
-        # an empty support has no samples
-        if np.minimum.reduce(wss, axis=None, initial=0.0) < 0:
-            raise ValueError("wall shear stress must be non-negative")
-        g = _gamma_pde(wss, grid.support_weight, p)
+        if wss_sq.shape[-1] != grid.support_weight.size:
+            raise ValueError(f"wss_sq must hold one value per support node "
+                             f"({grid.support_weight.size}), got shape {wss_sq.shape}")
+        g = _gamma_pde(wss_sq, grid.support_weight, p)
         # numpy sums a sample axis with more than one node beside it in
         # sample order, as the full-width mean does, but a single node's
         # samples pairwise, which cumsum avoids
@@ -370,12 +367,12 @@ def gamma_ode(wss_l2, c_s, p: GrowthParams):
         raise ValueError("wall shear stress norm must be non-negative")
     if np.any(np.asarray(c_s) < 0):
         raise ValueError("concentration must be non-negative")
-    return _gamma_ode(wss_l2, c_s, p)
+    return _gamma_ode(np.square(wss_l2), c_s, p)
 
 
-def _gamma_ode(wss_l2, c_s, p: GrowthParams):
-    """gamma_ode without its argument checks."""
-    return p.alpha / ((1.0 + c_s) * (1.0 + wss_l2**2 / p.sigma0**2))
+def _gamma_ode(wss_sq, c_s, p: GrowthParams):
+    """The ODE growth law on the squared wall shear stress wss_sq, unchecked."""
+    return (p.alpha / (1.0 + c_s)) / (1.0 + wss_sq / p.sigma0**2)
 
 
 def delta_weight(x):
@@ -393,12 +390,13 @@ def gamma_pde(wss, x, p: GrowthParams):
     wss = np.asarray(wss, dtype=float)
     if np.any(wss < 0):
         raise ValueError("wall shear stress must be non-negative")
-    return _gamma_pde(wss, delta_weight(x), p)
+    return _gamma_pde(np.square(wss), delta_weight(x), p)
 
 
-def _gamma_pde(wss, weight, p: GrowthParams):
-    """gamma_pde without its argument check, given weight = delta_weight(x)."""
-    return p.alpha * weight / (1.0 + wss**2 / p.sigma0**2)
+def _gamma_pde(wss_sq, weight, p: GrowthParams):
+    """The PDE growth law on the squared wall shear stress wss_sq, unchecked,
+    given weight = delta_weight(x)."""
+    return (p.alpha * weight) / (1.0 + wss_sq / p.sigma0**2)
 
 
 def macro_step_ode(state: ScalarState, gamma_bar: float, dt: float) -> ScalarState:

@@ -15,7 +15,9 @@ so one cycle contracts deviations from the orbit by exactly
 e^{-lambda_relax}, matching the observed per-cycle reduction of the flow
 problem it stands in for.  Wall shear stress is evaluated from a
 quasi-Poiseuille wall gradient with constant-flux narrowing
-amplification, wss = c_geo * 2 rho_f nu_f * q / h^2.
+amplification, wss = c_geo * 2 rho_f nu_f * q / h^2.  Both growth laws
+read the WSS only as wss^2 / sigma0^2, so the cycles hand them the
+squared WSS, (c_geo * 2 rho_f nu_f * q)^2 * (1 / h^2)^2.
 
 The cycle-until-periodic loop stops once consecutive cycle-averaged
 growth values agree to eps_p in units of alpha (the criterion is applied
@@ -30,11 +32,11 @@ micro problem runs go through those operations as one array block.
 Warm starts converge: once the macro state changes slowly, each micro
 problem starts from the very float that ended the one before.  So the
 part of a block that depends on its start q alone (the end states and
-the flux wss_factor * q(tau)) is kept on the ``MicroParams`` instance
-too, as a one-entry memo that the next block with the same q (value and
-type) and the same number of cycles reuses.  Only the division by h^2
-runs again, the same float operation as before, so a reused block gives
-the same bits as a fresh one.
+the squared flux (wss_factor * q(tau))^2) is kept on the ``MicroParams``
+instance too, as a one-entry memo that the next block with the same q
+(value and type) and the same number of cycles reuses.  Only the
+multiplication by (1 / h^2)^2 runs again, the same float operation as
+in a fresh block, so a reused block gives the same bits as a fresh one.
 """
 
 import math
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import growth
 from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
-                     check_integer, check_number)
+                     check_integer, check_number, shown)
 
 __all__ = [
     "MicroParams",
@@ -62,7 +64,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # Most samples a cycle may hold, so delta_tau >= 1e-5
 _MAX_SAMPLES = 100_000
-# Most entries of a micro problem's first two cycles' WSS block, 2 N_s per
+# Most entries of a micro problem's first two cycles' squared-WSS block, 2 N_s per
 # support node, about 32 MB of floats; the preset grid's 19 support nodes
 # stay below it at _MAX_SAMPLES
 _MAX_BLOCK = 4_000_000
@@ -112,7 +114,7 @@ class MicroParams:
         check_number("lambda_relax", self.lambda_relax, zero_ok=True)
         check_integer("max_cycles", self.max_cycles, 2)
         if isinstance(self.inflow_offset, bool) or self.inflow_offset not in (0, 1):
-            raise ConfigError(f"inflow_offset must be 0 or 1, got {self.inflow_offset}")
+            raise ConfigError(f"inflow_offset must be 0 or 1, got {shown(self.inflow_offset)}")
         if self.delta_tau < 1.0 / _MAX_SAMPLES:
             raise ConfigError(f"delta_tau={self.delta_tau} must be at least "
                               f"{1.0 / _MAX_SAMPLES:g} (at most {_MAX_SAMPLES} samples "
@@ -228,27 +230,29 @@ def _check_open(h, params: MicroParams):
 
 
 def advance_cycle(w0: MicroState, h, params: MicroParams, cycles: int | None = None):
-    """Integrate one period and return (final state, per-step WSS values).
+    """Integrate one period and return (final state, per-step squared WSS values).
 
     The trajectory is sampled at tau_m = m * delta_tau, m = 1..N_s.  For
-    scalar h the WSS series has shape (N_s,); for a half-width profile
-    of length n it has shape (N_s, n).  The values equal those of
-    ``periodic_orbit`` and ``wall_shear_stress`` bit for bit; the
-    returned WSS array is the caller's own.
+    scalar h the squared WSS series has shape (N_s,); for a half-width
+    profile of length n it has shape (N_s, n).  Each value is
+    (wss_factor * q)^2 * (1 / h^2)^2, the square of ``wall_shear_stress``
+    to within a few ulp; the growth laws read nothing else of the WSS.
+    The returned array is the caller's own.
 
     With ``cycles=k`` it integrates k consecutive periods from w0 as one
-    array block and returns (the k end states, WSS values of shape
-    (k, N_s) or (k, N_s, n)).  Each period starts from the end value of
-    the one before, computed with the same expression, so row r equals
-    the r-th of k one-period calls bit for bit.
+    array block and returns (the k end states, squared WSS values of
+    shape (k, N_s) or (k, N_s, n)).  Each period starts from the end
+    value of the one before, computed with the same expression, so row r
+    equals the r-th of k one-period calls bit for bit.
 
-    The end states and the read-only flux ``wss_factor * q_traj`` of the
-    last block are kept on ``params`` (one entry, replaced whole, so
-    threads sharing ``params`` read a consistent one).  A call whose
-    ``w0.q`` equals the kept start in value and type, with the same
-    ``cycles``, reuses them; it still checks the channel and divides by
-    h^2 anew, which is the last operation of the fresh computation too,
-    so every bit stays the same.
+    The end states and the read-only squared flux
+    ``(wss_factor * q_traj)**2`` of the last block are kept on ``params``
+    (one entry, replaced whole, so threads sharing ``params`` read a
+    consistent one).  A call whose ``w0.q`` equals the kept start in
+    value and type, with the same ``cycles``, reuses them; it still
+    checks the channel and multiplies by (1 / h^2)^2 anew, which is the
+    last operation of the fresh computation too, so every bit stays the
+    same.
     """
     if not isinstance(h, float):
         h = np.asarray(h, dtype=float)
@@ -266,17 +270,19 @@ def advance_cycle(w0: MicroState, h, params: MicroParams, cycles: int | None = N
             or block[0] != q0):
         block = _state_block(q0, params._cycle, cycles)
         object.__setattr__(params, "_block", block)
-    _, _, ends, flux = block
+    _, _, ends, flux_sq = block
+    inv = 1.0 / (h * h)
     if isinstance(h, float):
-        wss = flux / (h * h)
+        wss_sq = flux_sq * (inv * inv)
     else:
-        wss = flux[..., None] / (h * h)
-    return ends, wss
+        wss_sq = flux_sq[..., None] * (inv * inv)
+    return ends, wss_sq
 
 
 def _state_block(q, cycle: _CycleData, cycles: int | None):
     """The part of an ``advance_cycle`` block that depends on its start q only:
-    (q, cycles, end state(s) as returned, read-only flux = wss_factor * q_traj)."""
+    (q, cycles, end state(s) as returned, read-only squared flux
+    (wss_factor * q_traj)**2)."""
     orbit0, orbit_end, decay_end = cycle.orbit0, cycle.orbit_end, cycle.decay_end
     # each period's deviation from the orbit at its start, and its end state:
     # the last sample of q_traj below, computed with the same float operations
@@ -290,9 +296,9 @@ def _state_block(q, cycle: _CycleData, cycles: int | None):
         q_traj = cycle.orbit + deviation * cycle.decay
     else:
         q_traj = cycle.orbit + np.multiply.outer(deviations, cycle.decay)
-    flux = cycle.wss_factor * q_traj
-    flux.flags.writeable = False
-    return q, cycles, (ends[0] if cycles is None else tuple(ends)), flux
+    flux_sq = np.square(cycle.wss_factor * q_traj)
+    flux_sq.flags.writeable = False
+    return q, cycles, (ends[0] if cycles is None else tuple(ends)), flux_sq
 
 
 def _growth_half_width(macro_state, params: MicroParams):
@@ -325,8 +331,8 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
     """
     h = _growth_half_width(macro_state, params)
     scale = growth_params.alpha if growth_params.alpha > 0 else 1.0
-    states, wss = advance_cycle(w0, h, params, cycles=2)
-    history = macro_state.average_growth(wss, growth_params)  # one value per cycle
+    states, wss_sq = advance_cycle(w0, h, params, cycles=2)
+    history = macro_state.average_growth(wss_sq, growth_params)  # one value per cycle
     state = states[-1]
     while not macro_state.growth_change(history[-1], history[-2]) / scale < params.eps_p:
         if len(history) == params.max_cycles:
@@ -334,8 +340,8 @@ def solve_micro_problem(w0: MicroState, macro_state, params: MicroParams,
                 f"averaged growth value did not stabilize within {params.max_cycles} cycles "
                 f"(lambda_relax={params.lambda_relax:g})"
             )
-        state, wss = advance_cycle(state, h, params)
-        history.append(macro_state.average_growth(wss, growth_params))
+        state, wss_sq = advance_cycle(state, h, params)
+        history.append(macro_state.average_growth(wss_sq, growth_params))
     return GrowthSample(history[-1], len(history), tuple(history)), state
 
 
@@ -349,6 +355,6 @@ def solve_stationary_surrogate(macro_state, params: MicroParams,
     roughly a factor 100 cheaper than a resolved cycle).
     """
     h = _growth_half_width(macro_state, params)
-    wss = wall_shear_stress(params.mean_inflow, h, params)
+    wss_sq = np.square(wall_shear_stress(params.mean_inflow, h, params))
     # one stationary sample: the average over it is the sample itself
-    return GrowthSample(macro_state.average_growth(wss[np.newaxis], growth_params), 0)
+    return GrowthSample(macro_state.average_growth(wss_sq[np.newaxis], growth_params), 0)

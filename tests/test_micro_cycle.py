@@ -3,14 +3,23 @@
 ``advance_cycle`` and the states' ``average_growth`` work from data that
 each ``MicroParams`` computes once (orbit, decay factors, WSS prefactor)
 and from the grid's cached damage support; ``solve_micro_problem`` runs
-its first two cycles as one block.  The reference below rebuilds every
-cycle one at a time, on every interface node, from the public functions
-``periodic_orbit``, ``wall_shear_stress`` and ``gamma_ode``/``gamma_pde``
-and the written stopping rule; the two must agree exactly (``==``), not
-approximately.
+its first two cycles as one block.  ``advance_cycle`` returns the squared
+wall shear stress, from the squared flux (wss_factor * q)^2 that its memo
+keeps, and the growth averages read only that.  The reference below
+rebuilds every cycle one at a time, on every interface node, from
+``periodic_orbit``, the ``MicroParams`` and ``GrowthParams`` fields and
+the written stopping rule, in the same float grouping:
+wss^2 = (c_geo 2 rho_f nu_f q)^2 (1 / h^2)^2 and
+gamma = (alpha / (1 + c_s)) / (1 + wss^2 / sigma0^2) (ODE) or
+(alpha delta(x)) / (1 + wss^2 / sigma0^2) (PDE).  The two must agree
+exactly (``==``), not approximately.  The public form, ``gamma_ode`` or
+``gamma_pde`` of ``wall_shear_stress``, squares the WSS after the
+division, so its growth values may differ in the last bits; they must
+stay within ULP_BOUND ulp.
 """
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,8 +27,8 @@ import pytest
 from plaquepar import microflow
 from plaquepar.cli import main
 from plaquepar.errors import ChannelClosureError, MicroNonConvergenceError
-from plaquepar.growth import (FieldState, GrowthParams, ScalarState, SolidGrid, gamma_ode,
-                              gamma_pde)
+from plaquepar.growth import (FieldState, GrowthParams, ScalarState, SolidGrid, delta_weight,
+                              gamma_ode, gamma_pde)
 from plaquepar.microflow import (MicroParams, MicroState, advance_cycle, periodic_orbit,
                                  solve_micro_problem, solve_stationary_surrogate,
                                  wall_shear_stress)
@@ -31,33 +40,49 @@ PDE_GP = GrowthParams(alpha=5e-8)
 # the default c_geo makes the WSS prefactor c_geo * 2 rho_f nu_f exactly 1,
 # under which a reordered product rounds the same; 58.675 does not
 C_GEO = (12.5, 58.675)
+# most ulp between a growth value and its public form
+ULP_BOUND = 4
+
+
+class Cycle(NamedTuple):
+    q_end: float
+    wss_sq: np.ndarray    # in the cycles' grouping
+    gamma: object         # averaged growth, in the cycles' grouping
+    wss: np.ndarray       # wall_shear_stress
+    gamma_public: object  # averaged growth of gamma_ode/gamma_pde of wss
 
 
 def reference_cycle(q0, h, state, mp, gp):
-    """One cycle from the public functions: (final q, wss, averaged growth)."""
+    """One cycle from periodic_orbit and the parameter fields, on every node."""
     tau = mp.delta_tau * np.arange(1, mp.n_steps + 1)
     q = periodic_orbit(tau, mp) + (q0 - periodic_orbit(0.0, mp)) * np.exp(-mp.lambda_relax * tau)
+    factor = mp.c_geo * 2.0 * mp.rho_f * mp.nu_f
+    inv = 1.0 / (h * h)
     if isinstance(state, ScalarState):
+        wss_sq = (factor * q) ** 2 * (inv * inv)
+        gamma = (gp.alpha / (1.0 + state.c_s)) / (1.0 + wss_sq / gp.sigma0**2)
         wss = wall_shear_stress(q, h, mp)
-        gamma = float(np.mean(gamma_ode(wss, state.c_s, gp), axis=0))
-    else:
-        wss = wall_shear_stress(q[:, None], h[None, :], mp)
-        gamma = gamma_pde(wss, state.grid.x, gp).mean(axis=0)
-    return float(q[-1]), wss, gamma
+        return Cycle(float(q[-1]), wss_sq, float(np.mean(gamma, axis=0)), wss,
+                     float(np.mean(gamma_ode(wss, state.c_s, gp), axis=0)))
+    wss_sq = (factor * q[:, None]) ** 2 * (inv * inv)[None, :]
+    gamma = (gp.alpha * delta_weight(state.grid.x)) / (1.0 + wss_sq / gp.sigma0**2)
+    wss = wall_shear_stress(q[:, None], h[None, :], mp)
+    return Cycle(float(q[-1]), wss_sq, gamma.mean(axis=0), wss,
+                 gamma_pde(wss, state.grid.x, gp).mean(axis=0))
 
 
 def reference_micro(q0, state, mp, gp, eps_p=1e-3, max_cycles=10):
-    """The cycle-until-periodic loop: (gamma history, final q)."""
+    """The cycle-until-periodic loop: (cycles, final q)."""
     h = state.half_width()
     scale = gp.alpha if gp.alpha > 0 else 1.0
-    q, history = q0, []
+    q, cycles = q0, []
     for _ in range(max_cycles):
-        q, _, gamma = reference_cycle(q, h, state, mp, gp)
-        history.append(gamma)
-        if len(history) >= 2:
-            delta = np.max(np.abs(np.asarray(history[-1]) - np.asarray(history[-2])))
+        cycles.append(reference_cycle(q, h, state, mp, gp))
+        q = cycles[-1].q_end
+        if len(cycles) >= 2:
+            delta = np.max(np.abs(np.asarray(cycles[-1].gamma) - np.asarray(cycles[-2].gamma)))
             if delta / scale < eps_p:
-                return history, q
+                return cycles, q
     raise AssertionError("reference micro problem did not stabilize")
 
 
@@ -80,6 +105,14 @@ def assert_same_growth(a, b):
         assert a.base is None  # owns its memory: a kept value holds no other cycle
 
 
+def assert_within_ulp(a, b, bound=ULP_BOUND):
+    """a and b agree to ``bound`` ulp of b in every entry; exact zeros stay zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and np.array_equal(a == 0, b == 0)
+    assert np.all(np.abs(a - b) <= bound * np.spacing(np.abs(b))), np.max(
+        np.abs(a - b) / np.spacing(np.abs(b)))
+
+
 @pytest.mark.parametrize("c_geo", C_GEO)
 @pytest.mark.parametrize("lam", [9.0, 0.0, 1.0])  # 1.0 needs 2 to 8 cycles
 @pytest.mark.parametrize("model", ["ode", "pde"])
@@ -92,13 +125,14 @@ def test_micro_problem_equals_reference_bit_for_bit(model, lam, warm, c_geo):
     q0 = {"zero": 0.0, "orbit0": orbit0, "orbit0+20": orbit0 + 20.0}[warm]
 
     sample, w_end = solve_micro_problem(MicroState(q0), state, mp, gp)
-    history, q_end = reference_micro(q0, state, mp, gp)
+    cycles, q_end = reference_micro(q0, state, mp, gp)
 
-    assert sample.cycles_used == len(history)
-    assert len(sample.gamma_history) == len(history)
-    for got, want in zip(sample.gamma_history, history):
-        assert_same_growth(got, want)
-    assert_same_growth(sample.gamma_bar, history[-1])
+    assert sample.cycles_used == len(cycles)
+    assert len(sample.gamma_history) == len(cycles)
+    for got, want in zip(sample.gamma_history, cycles):
+        assert_same_growth(got, want.gamma)
+        assert_within_ulp(got, want.gamma_public)
+    assert_same_growth(sample.gamma_bar, cycles[-1].gamma)
     assert w_end == MicroState(q_end)
 
 
@@ -110,12 +144,14 @@ def test_every_cycle_equals_reference(model, c_geo):
     h = state.half_width()
     w = MicroState(7.5)
     for _ in range(4):
-        q_ref, wss_ref, gamma_ref = reference_cycle(w.q, h, state, mp, gp)
-        w, wss = advance_cycle(w, h, mp)
-        assert w.q == q_ref
-        assert wss.shape == wss_ref.shape and np.array_equal(wss, wss_ref)
-        # the growth average reads the WSS on the damage support only
-        assert_same_growth(state.average_growth(state.on_support(wss), gp), gamma_ref)
+        ref = reference_cycle(w.q, h, state, mp, gp)
+        w, wss_sq = advance_cycle(w, h, mp)
+        assert w.q == ref.q_end
+        assert wss_sq.shape == ref.wss_sq.shape and np.array_equal(wss_sq, ref.wss_sq)
+        # the cycles' grouping rounds at most 9 times, squaring wall_shear_stress 7
+        assert np.all(np.abs(wss_sq - ref.wss**2) <= 16 * 2.0**-53 * ref.wss**2)
+        # the growth average reads the squared WSS on the damage support only
+        assert_same_growth(state.average_growth(state.on_support(wss_sq), gp), ref.gamma)
 
 
 @pytest.mark.parametrize("model", ["ode", "pde"])
@@ -153,8 +189,8 @@ def test_params_with_different_lambda_do_not_share_cycle_data():
         w_frozen, wss_frozen = advance_cycle(w_frozen, h, frozen)
     q_fast = q_frozen = 12.0
     for _ in range(3):
-        q_fast, ref_fast, _ = reference_cycle(q_fast, h, state, fast, ODE_GP)
-        q_frozen, ref_frozen, _ = reference_cycle(q_frozen, h, state, frozen, ODE_GP)
+        q_fast, ref_fast, *_ = reference_cycle(q_fast, h, state, fast, ODE_GP)
+        q_frozen, ref_frozen, *_ = reference_cycle(q_frozen, h, state, frozen, ODE_GP)
     assert w_fast.q == q_fast and np.array_equal(wss_fast, ref_fast)
     assert w_frozen.q == q_frozen and np.array_equal(wss_frozen, ref_frozen)
     assert w_frozen.q == 12.0  # lambda_relax = 0 does not relax at all
@@ -177,15 +213,17 @@ def test_writing_into_returned_wss_cannot_change_the_next_cycle(model):
 
 
 def test_negative_wss_is_still_rejected():
+    # the cycles hand average_growth squares, which cannot be negative; the
+    # public laws take outside input and check it
     with pytest.raises(ValueError, match="non-negative"):
-        ode_state().average_growth(np.array([1.0, -1e-12]), ODE_GP)
+        gamma_ode(np.array([1.0, -1e-12]), ode_state().c_s, ODE_GP)
     state = pde_state()
-    wss = np.ones((2, 3, state.grid.support_weight.size))
-    wss[1, 1, 7] = -1.0
+    wss = np.ones((2, 3, state.grid.nx))
+    wss[1, 1, 50] = -1.0
     with pytest.raises(ValueError, match="non-negative"):
-        state.average_growth(wss, PDE_GP)
+        gamma_pde(wss, state.grid.x, PDE_GP)
     with pytest.raises(ValueError, match="non-negative"):
-        state.average_growth(wss[1], PDE_GP)
+        gamma_pde(wss[1], state.grid.x, PDE_GP)
 
 
 def test_wss_off_the_support_is_rejected():
@@ -238,8 +276,8 @@ def test_zero_weight_node_at_or_below_h_min_still_closes():
 def test_too_few_cycles_raise(model, max_cycles):
     state, gp = (ode_state(), ODE_GP) if model == "ode" else (pde_state(), PDE_GP)
     mp = MicroParams(lambda_relax=1.0, inflow_offset=0.0 if model == "ode" else 1.0)
-    history, _ = reference_micro(0.0, state, mp, gp)
-    assert len(history) > max_cycles
+    cycles, _ = reference_micro(0.0, state, mp, gp)
+    assert len(cycles) > max_cycles
     mp = MicroParams(lambda_relax=1.0, inflow_offset=mp.inflow_offset, max_cycles=max_cycles)
     with pytest.raises(MicroNonConvergenceError):
         solve_micro_problem(MicroState(0.0), state, mp, gp)
@@ -250,10 +288,10 @@ def test_growth_on_coarse_grids_equals_full_width_reference(nx):
     # support widths 0, 1, 1 and 3 nodes
     state, mp = pde_state(nx, 3), MicroParams(lambda_relax=1.0, c_geo=C_GEO[1], inflow_offset=1.0)
     sample, w_end = solve_micro_problem(MicroState(0.0), state, mp, PDE_GP)
-    history, q_end = reference_micro(0.0, state, mp, PDE_GP)
-    assert sample.cycles_used == len(history) and w_end == MicroState(q_end)
-    for got, want in zip(sample.gamma_history, history):
-        assert_same_growth(got, want)
+    cycles, q_end = reference_micro(0.0, state, mp, PDE_GP)
+    assert sample.cycles_used == len(cycles) and w_end == MicroState(q_end)
+    for got, want in zip(sample.gamma_history, cycles):
+        assert_same_growth(got, want.gamma)
 
 
 def test_grid_without_support_gives_zero_growth():
@@ -324,12 +362,12 @@ def test_the_cached_flux_is_read_only_and_the_wss_the_callers_own(model):
     state = ode_state() if model == "ode" else pde_state()
     h = state.on_support(state.half_width())
     for _ in range(2):  # a miss, then a hit
-        _, wss = advance_cycle(MicroState(3.0), h, mp, 2)
-        flux = mp._block[3]
-        assert not flux.flags.writeable
+        _, wss_sq = advance_cycle(MicroState(3.0), h, mp, 2)
+        flux_sq = mp._block[3]
+        assert not flux_sq.flags.writeable
         with pytest.raises(ValueError):
-            flux[0, 0] = 1.0
-        assert wss.flags.writeable and not np.shares_memory(wss, flux)
+            flux_sq[0, 0] = 1.0
+        assert wss_sq.flags.writeable and not np.shares_memory(wss_sq, flux_sq)
 
 
 def _run_outputs(tmp_path, name, scn, mode):

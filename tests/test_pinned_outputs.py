@@ -24,36 +24,36 @@ from plaquepar.scenario import preset
 # (mode, stopping) -> digests of (report.json, trajectory.csv, table.txt)
 DIGESTS = {
     ("serial", "fine"): (
-        "ca6ce9b970aff94adc10f5756f143b36f5efc193e47b1752517b8de76544bd4e",
-        "1914f0c28c42aeaebb88bd57399470eb86b6994655fae7558c5e20b1c5cc87a8",
+        "b0df02515185dbf88d68c62ab7caa9bafc91eecca7684a7b8b51ba44f292126d",
+        "17849fe56336bd19bbf2046832037548a92f89a4a683faeaf5cdfff466fc222c",
         "22453851afd227cc6eee14ff3bd3bcd067b619408ce2790d2f4662fbf04f9a5e"),
     ("serial", "coarse"): (
-        "82775d44dd4af759bdff2991a042e93cce705eebdf655094e44b8c8b2764a15c",
-        "1914f0c28c42aeaebb88bd57399470eb86b6994655fae7558c5e20b1c5cc87a8",
+        "be4ef3847b2200543de6b09d8fe05d9d344c507289e1bcfd187da57bb38174c7",
+        "17849fe56336bd19bbf2046832037548a92f89a4a683faeaf5cdfff466fc222c",
         "22453851afd227cc6eee14ff3bd3bcd067b619408ce2790d2f4662fbf04f9a5e"),
     ("parareal", "fine"): (
-        "20d522b53574f996c7c15afca8d54e53d1b0e9569671cae32f1fcff50cf82a50",
-        "d03a2217fc13f8d3304cbfc837cbaef37b3cc93844c5784d131ab4a78261d5ef",
-        "f1c6b2b4a121b91d7784146c8f353d12f2719f9ea2a4aa6ee0c2848e1b895a3b"),
+        "4a83b6a875a4cfcadc07b0ba65c959027fbcdd9a84e119af9803d89f4d2dd6e9",
+        "7238c812eccb263833b7d5d1946677d01e5fc8b91325d6510c98c09f073bf0d4",
+        "c3ed8304b49868dd16b783593cb3778ddfbfd43752084eeee4a8e7a97861cf93"),
     ("parareal", "coarse"): (
-        "cf264fdfa28217a75b266ac5cfeda97cfcc225c0049303e183612038cf8e8051",
-        "7c12984bc6dede7b8184c8e630a58eeca482daab584b8f70dc394c17f06dddc9",
+        "cc65d956edfe61575e0261bc03de070c98a0c657071f04b041cdf8c67f2325f6",
+        "d90b4a60fd16b67f3168923dba1dcb5caa926d4c2126caedc6f4cf046faeba5c",
         "cfc4f5c7fa4d22db8d559d771599afeb0866792dc197a78f3e1479cb1a256133"),
     ("reusage", "fine"): (
-        "4d1203b082d9eb56228edeea5895270f1b0328c4eb3b58c2af7fcfdf943986ac",
-        "1914f0c28c42aeaebb88bd57399470eb86b6994655fae7558c5e20b1c5cc87a8",
+        "b8be4e5972a3ca65c9c64a1b71aa26a4ce36fb51e29a87c96f1317535ef57ab5",
+        "17849fe56336bd19bbf2046832037548a92f89a4a683faeaf5cdfff466fc222c",
         "f1fe49d8aa4584d3af652f814798a7bdc1d8cb56738864577c14765bc5843fb6"),
     ("reusage", "coarse"): (
-        "42e7f00df85a47550a3d7e8994d12185d8e2c7101b1609344f286ea58d365f9a",
-        "1914f0c28c42aeaebb88bd57399470eb86b6994655fae7558c5e20b1c5cc87a8",
+        "8d47f3077672d0ba42269b5d6cc811013f73fb1038f5b1e7d21d17a312820668",
+        "17849fe56336bd19bbf2046832037548a92f89a4a683faeaf5cdfff466fc222c",
         "b5305dadd11d6ac39d30791a4a568d3827d8138ce028bcf8c28ecbca4efb3f4d"),
     ("heuristic", "fine"): (
-        "7fc191da3c134f9ba1987cf362662f70a22180f71e65a5f3cf5515470272171e",
-        "f65d75c2d094df34c981d82f3d512b4812012a864284724f5f148b98652e7465",
+        "849449cadbcda74d7ce818db60b3f55d5872c485f76fafc9b470f32db7633f81",
+        "5d577d5d9e7f6e556813a03a8cb12ae3cc130a0d2e7525c084deb53baa451f05",
         "869db0c60b3b368be9b9575749110d33fbee54f13416598b123deae0facb1b4d"),
     ("heuristic", "coarse"): (
-        "1250c50581f06e7aa9233c38af69065894ce1aed8a2ab6d1d54a83d9b09d188e",
-        "7e26aa9552053314d6a1ad9b733aecc0a9bbe031660053e6c0eb82b788394302",
+        "c56b234b89831cc5b58fe587ddd71232e767b981c1fb8b7184b3b4f512ae8bfa",
+        "3b5fe3aba8c61581102706e4bfe68d4b1b3390c1e6e37f4901265dd9ba42eb40",
         "845738e7b762eadbcd0dcb6f41b45cd369d99cc0efec19610753539687bbc502"),
 }
 
@@ -77,7 +77,7 @@ def test_ode_outputs_are_byte_identical(tmp_path, capsys, mode, stopping):
 
 
 # digests of (sweep.csv, table.txt)
-SWEEP_DIGESTS = ("5ad6dacb6e362f95c8daa5cb746c1c8108a175966ea423ecdf1cbb0942cdb715",
+SWEEP_DIGESTS = ("045b8f5d46092e6d416f4126bae93278e770e377f37a70bc8e1fe75d01c0cabd",
                  "fea08690dd6a6e77096e746166322c89fa2d5726b52db81fdf08253723bee449")
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plaquepar
@@ -84,6 +85,28 @@ def test_parameter_types_raise_config_errors():
                   lambda: parareal.check_run_settings(4, "standard", "fine", True)):
         with pytest.raises(ConfigError):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GrowthParams(theta="0.5"), "theta must lie in [0, 1], got '0.5'"),
+    (lambda: GrowthParams(alpha="0.5"), "alpha must be non-negative and finite, got '0.5'"),
+    (lambda: MicroParams(delta_tau="0.02"), "delta_tau must be positive and finite, got '0.02'"),
+    (lambda: GrowthParams(sigma0=None), "sigma0 must be positive and finite, got None"),
+    (lambda: GrowthParams(theta=True), "theta must lie in [0, 1], got True"),
+    (lambda: GrowthParams(theta=np.float64(1.5)), "theta must lie in [0, 1], got 1.5"),
+    (lambda: GrowthParams(sigma0=np.float64(-30.0)),
+     "sigma0 must be positive and finite, got -30.0"),
+    (lambda: GrowthParams(reaction_sign="1"), "reaction_sign must be +1 or -1, got '1'"),
+    (lambda: MicroParams(inflow_offset="1"), "inflow_offset must be 0 or 1, got '1'"),
+    (lambda: MicroParams(inflow_offset=np.float64(0.5)),
+     "inflow_offset must be 0 or 1, got 0.5"),
+], ids=["theta_str", "alpha_str", "delta_tau_str", "none", "bool", "numpy_theta",
+        "numpy_sigma0", "reaction_sign_str", "inflow_offset_str", "numpy_inflow_offset"])
+def test_a_value_that_is_no_number_is_quoted(build, message):
+    # a string reads as text, not as an in-range number; numpy scalars read as numbers
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_bad_parameter_keeps_its_message_and_exit_code(tmp_path, capsys):

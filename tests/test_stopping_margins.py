@@ -1,28 +1,42 @@
-"""The stopping rule's margin on the benchmark inputs stays above a floor.
+"""The count decisions' margins on the benchmark inputs stay above a floor.
 
-Each parareal iteration stops once ``|s_k - s_{k-1}| <= eps_par``.  A
-change that moves last bits (a batched sweep, another summation order)
-leaves k_par alone only if no iteration's ``stopping_delta`` sits within
-round-off of ``eps_par``.  This test runs the ``ode_sweep`` and
-``pde_reusage`` benchmark inputs, read from ``perfbench/workloads.py``,
-column by column against one serial reference each, and asserts that
-the smallest ``|stopping_delta / eps_par - 1|`` over every column and
-iteration is at least MARGIN_FLOOR.
+Every ledger count hangs on a comparison:
 
-Measured minima: 1.8e-2 on ``ode_sweep`` (P = 30, k = 2) and 0.35 on
-``pde_reusage`` (P = 10, k = 3).
+* the stopping rule ``|s_k - s_{k-1}| <= eps_par`` (k_par);
+* the periodicity rule ``growth_change / scale < eps_p`` (cycles per
+  micro problem, scale = alpha);
+* the closure check ``h <= h_min`` (a failed run).
+
+A change that moves last bits (a batched sweep, another summation order,
+another float grouping of the growth law) leaves the counts alone only if
+no compared value sits within round-off of its threshold.  This test runs
+the ``ode_sweep`` and ``pde_reusage`` benchmark inputs, read from
+``perfbench/workloads.py``, column by column against one serial
+reference each, records every compared value through wrappers set on
+``ScalarState.growth_change``, ``FieldState.growth_change`` and
+``microflow._check_open``, and asserts that the smallest
+``|value / threshold - 1|`` of each rule, over the reference run and
+every column, is at least MARGIN_FLOOR.
+
+Measured minima: eps_par 1.8e-2 on ``ode_sweep`` (P = 30, k = 2) and
+0.35 on ``pde_reusage`` (P = 10, k = 3); eps_p 0.99 on both; closure
+h / h_min = 2.65 on ``ode_sweep`` and 17.4 on ``pde_reusage``.
 """
 
+import functools
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plaquepar import cli, twoscale
+from plaquepar import cli, microflow, twoscale
+from plaquepar.growth import FieldState, ScalarState
 from plaquepar.scenario import Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 MARGIN_FLOOR = 1e-3
+WORKLOADS = ["ode_sweep", "pde_reusage"]
 
 
 def _workloads():
@@ -33,19 +47,59 @@ def _workloads():
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("name", ["ode_sweep", "pde_reusage"])
-def test_stopping_margin_floor(name):
+@functools.cache
+def margins(name):
+    """Rule -> (smallest |value / threshold - 1| of the workload, where it was taken)."""
     w = _workloads()[name]
     # the scenario as the workload's command line sets it, P aside
     base = Scenario.from_dict({**w.scenario, "mode": w.mode, "stopping": "coarse", "P": 1})
-    reference = twoscale.run_serial(base.schedule(), base.growth_params(),
-                                    base.micro_params(), *base.initial_states())
-    margins = {}
-    for P in w.P:
-        report = cli._run(Scenario.from_dict({**base.to_dict(), "P": P}), reference)
-        for it in report.per_iteration:
-            margins[P, it["k"]] = abs(it["stopping_delta"] / w.eps_par - 1.0)
-    (P, k), margin = min(margins.items(), key=lambda item: item[1])
+    gp, mp = base.growth_params(), base.micro_params()
+    scale = gp.alpha if gp.alpha > 0 else 1.0
+    where = ["the reference"]
+    found = {"eps_par": [], "eps_p": [], "closure": []}
+
+    def check_open(h, params, _original=microflow._check_open):
+        _original(h, params)
+        found["closure"].append((float(np.min(h)) / params.h_min - 1.0, where[0]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (ScalarState, FieldState):
+            def growth_change(self, new, old, _original=cls.growth_change):
+                change = _original(self, new, old)
+                found["eps_p"].append((abs(change / scale / mp.eps_p - 1.0), where[0]))
+                return change
+            patch.setattr(cls, "growth_change", growth_change)
+        patch.setattr(microflow, "_check_open", check_open)
+        reference = twoscale.run_serial(base.schedule(), gp, mp, *base.initial_states())
+        for P in w.P:
+            where[0] = f"P={P}"
+            report = cli._run(Scenario.from_dict({**base.to_dict(), "P": P}), reference)
+            for it in report.per_iteration:
+                found["eps_par"].append((abs(it["stopping_delta"] / w.eps_par - 1.0),
+                                         f"P={P}, k={it['k']}"))
+    assert all(found.values()), name
+    return {rule: min(values) for rule, values in found.items()}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_stopping_margin_floor(name):
+    margin, where = margins(name)["eps_par"]
     assert margin >= MARGIN_FLOOR, (
-        f"{name}: the stopping rule at P={P}, k={k} is {margin:.3g} from eps_par, "
+        f"{name}: the stopping rule at {where} is {margin:.3g} from eps_par, "
         f"below the floor {MARGIN_FLOOR:g}")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_periodicity_margin_floor(name):
+    margin, where = margins(name)["eps_p"]
+    assert margin >= MARGIN_FLOOR, (
+        f"{name}: a periodicity test in {where} is {margin:.3g} from eps_p, "
+        f"below the floor {MARGIN_FLOOR:g}")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_closure_margin_floor(name):
+    margin, where = margins(name)["closure"]
+    assert margin >= MARGIN_FLOOR, (
+        f"{name}: a closure check in {where} has h / h_min = {1.0 + margin:.6g}, "
+        f"within {MARGIN_FLOOR:g} of the closure threshold")

@@ -19,14 +19,22 @@ preset shows up as a changed output.  The demos are each tree's own.
 
 Exits 0 when every difference is declared, 1 when one is not.  A
 declared-changes file lists one case name per line; ``#`` starts a
-comment.  A declared case may differ in any recorded item.
+comment.  A declared case may differ in any recorded item.  For each
+case that differs it also reads the numbers of the case's
+``report.json`` (without ``wall_clock``) and CSV files (``trajectory.csv``,
+``sweep.csv``, the demos' files) on both trees, and says whether any
+integer field moved (the ledger counts, ``k_par``, the ``cycles``
+column) and the largest relative change of a float field, so a
+last-bit change reads as one.
 """
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +240,108 @@ def differences(base: dict, change: dict) -> dict:
     return diffs
 
 
+def _value(cell: str):
+    """A CSV cell as an int, else a float, else the text itself."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _flatten(value, field: str, position: tuple, out: dict):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(item, f"{field}.{key}" if field else key, position, out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _flatten(item, field, position + (i,), out)
+    else:
+        out[field, position] = value
+
+
+def numeric_fields(path: Path) -> dict:
+    """(field, position) -> value of a report.json (without wall_clock) or a CSV file.
+
+    A report's field is its dotted key path and its position the list
+    indices on that path; a CSV file's field is its column name (from the
+    header row) and its position the row number.
+    """
+    out = {}
+    if path.suffix == ".json":
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(data, dict):
+            data.pop("wall_clock", None)
+        _flatten(data, "", (), out)
+    else:
+        header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        for i, row in enumerate(rows):
+            out.update(((name, (i,)), _value(cell)) for name, cell in zip(header, row))
+    return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _relative_change(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def numeric_changes(base_dir: Path, change_dir: Path) -> dict:
+    """What moved in the numbers of the report.json and CSV files both case directories hold.
+
+    Returns {"files": how many files were compared, "integers": fields
+    with a moved integer, "other": fields whose text, bool, type or
+    layout moved, "float_rel": the largest relative change
+    |a - b| / max(|a|, |b|) of a float (0 for equal values, nan
+    included; inf when only one side is nan or infinite), "float_field":
+    the field it was found in, or None}.  Fields are named ``file: field``.
+    """
+    integers, other, files = set(), set(), 0
+    float_rel, float_field = 0.0, None
+    for base_path in sorted(base_dir.rglob("*")):
+        rel = base_path.relative_to(base_dir)
+        change_path = change_dir / rel
+        numeric = base_path.name == "report.json" or base_path.suffix == ".csv"
+        if not (numeric and base_path.is_file() and change_path.is_file()):
+            continue
+        files += 1
+        a, b = numeric_fields(base_path), numeric_fields(change_path)
+        for key in sorted(a.keys() | b.keys()):
+            name = f"{rel.as_posix()}: {key[0]}"
+            x, y = a.get(key), b.get(key)
+            if _is_int(x) and _is_int(y):
+                if x != y:
+                    integers.add(name)
+            elif type(x) is float and type(y) is float:
+                change = _relative_change(x, y)
+                if change > float_rel:
+                    float_rel, float_field = change, name
+            elif key not in a or key not in b or type(x) is not type(y) or x != y:
+                other.add(name)
+    return {"files": files, "integers": sorted(integers), "other": sorted(other),
+            "float_rel": float_rel, "float_field": float_field}
+
+
+def describe_numbers(changes: dict) -> str:
+    """One line of numeric_changes' findings."""
+    if not changes["files"]:
+        return "no report.json or CSV file to compare"
+    parts = [f"integers moved: {', '.join(changes['integers'])}" if changes["integers"]
+             else "no integer moved",
+             f"largest relative float change {changes['float_rel']:.3g}"
+             + (f" ({changes['float_field']})" if changes["float_field"] else "")]
+    if changes["other"]:
+        parts.append(f"other fields moved: {', '.join(changes['other'])}")
+    return "; ".join(parts)
+
+
 def read_declared(path) -> set:
     """Case names of a declared-changes file: one per line, '#' starts a comment."""
     if path is None:
@@ -280,6 +390,8 @@ def main(argv=None) -> int:
     undeclared = {name: items for name, items in diffs.items() if name not in declared}
     for name, items in diffs.items():
         print(f"{'declared' if name in declared else 'DIFFERS'}: {name}: {', '.join(items)}")
+        case_dirs = (work / label / "cases" / name for label in ("base", "change"))
+        print(f"    {describe_numbers(numeric_changes(*case_dirs))}")
     for name in sorted(declared - set(diffs)):
         print(f"declared, but unchanged: {name}")
     print(f"{len(case_list)} cases, {len(diffs)} differ, {len(undeclared)} undeclared; "
