@@ -21,7 +21,7 @@ plus the maximum fine time over the processes.
 import math
 import threading
 
-from .errors import ConfigError, check_integer, check_processes
+from .errors import check_choice, check_integer, check_processes
 
 __all__ = [
     "CostLedger",
@@ -88,14 +88,11 @@ def optimal_processes(N_l: int, mode: str, k: int | None = None) -> int:
     standard: P ~ sqrt(N_l);  reusage: P ~ sqrt(k * N_l).
     """
     check_integer("N_l", N_l, 1)
+    check_choice("mode", mode, ("standard", "reusage"))
     if mode == "standard":
         return max(1, round(math.sqrt(N_l)))
-    if mode == "reusage":
-        if k is None:
-            raise ConfigError("reusage optimum needs the iteration count k")
-        check_integer("iteration count k", k, 1)
-        return max(1, round(math.sqrt(k * N_l)))
-    raise ConfigError(f"unknown mode {mode!r}")
+    check_integer("iteration count k", k, 1)
+    return max(1, round(math.sqrt(k * N_l)))
 
 
 # engine mode -> closed-form serial-equivalent micro-problem count

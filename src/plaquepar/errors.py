@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 def check_integer(name: str, value, least: int):
     """The integer rule: ``is_integer(value)`` and value >= least, else ConfigError."""
     if not (is_integer(value) and value >= least):
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {shown(value)}")
 
 
 def check_processes(P, N_l):
@@ -47,6 +47,13 @@ def check_number(name: str, value, zero_ok: bool = False):
     if not (is_real(value) and (0 <= value if zero_ok else 0 < value) and value < math.inf):
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"{name} must be {sign} and finite, got {shown(value)}")
+
+
+def check_choice(name: str, value, choices: tuple):
+    """The choice rule: value is one of ``choices``, else ConfigError.  Only a string
+    or a real number (not bool) can be one, so an array never compares its way in."""
+    if not ((isinstance(value, str) or is_real(value)) and value in choices):
+        raise ConfigError(f"{name} must be one of {choices}, got {shown(value)}")
 
 
 class RunError(RuntimeError):

@@ -28,8 +28,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (ConfigError, GridAlignmentError, ImexStepError, check_number, is_real,
-                     shown)
+from .errors import (ConfigError, GridAlignmentError, ImexStepError, check_choice,
+                     check_number, is_real, shown)
 
 __all__ = [
     "GrowthParams",
@@ -77,8 +77,7 @@ class GrowthParams:
             check_number(name, getattr(self, name))
         if not (is_real(self.theta) and 0.0 <= self.theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {shown(self.theta)}")
-        if isinstance(self.reaction_sign, bool) or self.reaction_sign not in (1, -1):
-            raise ConfigError(f"reaction_sign must be +1 or -1, got {shown(self.reaction_sign)}")
+        check_choice("reaction_sign", self.reaction_sign, (1, -1))
 
 
 class SolidGrid:
@@ -363,9 +362,9 @@ def gamma_ode(wss_l2, c_s, p: GrowthParams):
     shear stress and the concentration.  Vectorizes over wss_l2.
     """
     wss_l2 = np.asarray(wss_l2, dtype=float)
-    if np.any(wss_l2 < 0):
+    if not np.all(wss_l2 >= 0):
         raise ValueError("wall shear stress norm must be non-negative")
-    if np.any(np.asarray(c_s) < 0):
+    if not np.all(np.asarray(c_s) >= 0):
         raise ValueError("concentration must be non-negative")
     return _gamma_ode(np.square(wss_l2), c_s, p)
 
@@ -388,7 +387,7 @@ def gamma_pde(wss, x, p: GrowthParams):
     accordingly.  Units: cm/s (a diffusive flux density D_s dc/dn).
     """
     wss = np.asarray(wss, dtype=float)
-    if np.any(wss < 0):
+    if not np.all(wss >= 0):
         raise ValueError("wall shear stress must be non-negative")
     return _gamma_pde(np.square(wss), delta_weight(x), p)
 

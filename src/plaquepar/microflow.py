@@ -47,7 +47,7 @@ import numpy as np
 
 from . import growth
 from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
-                     check_integer, check_number, shown)
+                     check_choice, check_integer, check_number)
 
 __all__ = [
     "MicroParams",
@@ -113,8 +113,7 @@ class MicroParams:
             check_number(name, getattr(self, name))
         check_number("lambda_relax", self.lambda_relax, zero_ok=True)
         check_integer("max_cycles", self.max_cycles, 2)
-        if isinstance(self.inflow_offset, bool) or self.inflow_offset not in (0, 1):
-            raise ConfigError(f"inflow_offset must be 0 or 1, got {shown(self.inflow_offset)}")
+        check_choice("inflow_offset", self.inflow_offset, (0, 1))
         if self.delta_tau < 1.0 / _MAX_SAMPLES:
             raise ConfigError(f"delta_tau={self.delta_tau} must be at least "
                               f"{1.0 / _MAX_SAMPLES:g} (at most {_MAX_SAMPLES} samples "
@@ -215,7 +214,7 @@ def wall_shear_stress(q, h_local, params: MicroParams):
     flux).  Broadcasts over arrays of q and h.
     """
     h_local = np.asarray(h_local, dtype=float)
-    if np.any(h_local <= 0):
+    if not np.all(h_local > 0):
         raise ValueError("half-width must be positive")
     return params.c_geo * 2.0 * params.rho_f * params.nu_f * np.asarray(q) / h_local**2
 
@@ -223,7 +222,7 @@ def wall_shear_stress(q, h_local, params: MicroParams):
 def _check_open(h, params: MicroParams):
     """Raise ChannelClosureError unless h > h_min (> 0) everywhere; h is a float or an array."""
     h_low = h if isinstance(h, float) else np.minimum.reduce(h, axis=None, initial=math.inf)
-    if h_low <= params.h_min:
+    if not h_low > params.h_min:
         raise ChannelClosureError(
             f"channel half-width {h_low:g} cm at or below h_min={params.h_min:g} cm"
         )

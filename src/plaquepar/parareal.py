@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 from . import growth, microflow
 from .costs import MICRO_COUNT, CostLedger, estimate_parallel_runtime, speedup_efficiency
-from .errors import (ConfigError, PararealNonConvergenceError, RunError, check_integer,
-                     check_number)
+from .errors import (ConfigError, PararealNonConvergenceError, RunError, check_choice,
+                     check_integer, check_number, shown)
 from .twoscale import (Schedule, TrajectoryRecord, advance_two_scale,
                        run_coarse_step, run_serial)
 
@@ -72,10 +72,8 @@ ENGINE_MODE = {"serial": "serial", "parareal": "standard", "reusage": "reusage",
 def check_run_settings(P, mode, stopping=DEFAULT_STOPPING, eps_par=DEFAULT_EPS_PAR,
                        max_iters=DEFAULT_MAX_ITERS):
     """The one check of the run settings, with run's defaults; raises ConfigError."""
-    if mode not in MODES and not (mode == "serial" and P == 1):
-        raise ConfigError(f"mode must be one of {MODES} (or 'serial' at P=1), got {mode!r}")
-    if stopping not in STOPPING:
-        raise ConfigError(f"stopping must be one of {STOPPING}, got {stopping!r}")
+    check_choice("mode", mode, MODES + ("serial",) if P == 1 else MODES)
+    check_choice("stopping", stopping, STOPPING)
     check_number("eps_par", eps_par)
     check_integer("max_iters", max_iters, 1)
 
@@ -300,9 +298,9 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
     elif (len(reference) != schedule.N_l + 1
             or not math.isclose(reference.t[-1], schedule.T_end, rel_tol=1e-9)):
         raise ConfigError(
-            f"reference has {len(reference)} points ending at t={reference.t[-1]!r}; "
+            f"reference has {len(reference)} points ending at t={shown(reference.t[-1])}; "
             f"the schedule needs N_l + 1 = {schedule.N_l + 1} ending at "
-            f"T_end={schedule.T_end!r}")
+            f"T_end={shown(schedule.T_end)}")
     ref_end = reference.endpoint
     if schedule.P == 1:
         ledger = CostLedger(1, micro_params.n_steps)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import growth, microflow, parareal
-from .errors import ConfigError
+from .errors import ConfigError, check_choice, check_integer, check_number, shown
 from .parareal import ENGINE_MODE, STOPPING, check_run_settings
 from .twoscale import DAY, Schedule
 
@@ -79,20 +79,18 @@ class Scenario:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
             # JSON reads NaN and Infinity, which no range check below catches
             if f.type is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.model not in ("ode", "pde"):
-            raise ConfigError(f"model must be 'ode' or 'pde', got {self.model!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.dt_days <= 0 or self.T_end_days <= 0:
-            raise ConfigError("T_end_days and dt_days must be positive")
+                raise ConfigError(f"{f.name} must be finite, got {shown(value)}")
+        check_choice("model", self.model, ("ode", "pde"))
+        check_choice("mode", self.mode, MODES)
+        check_number("T_end_days", self.T_end_days)
+        check_number("dt_days", self.dt_days)
         n = self.T_end_days / self.dt_days  # inf when the ratio overflows
         if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9):
             raise ConfigError(
                 f"dt_days={self.dt_days} must divide T_end_days={self.T_end_days}"
             )
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be positive, got {self.threads}")
+        if self.threads is not None:
+            check_integer("threads", self.threads, 1)
         if self.rho_s <= 0:
             raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
         # the parameter types and the run settings check themselves and raise ConfigError

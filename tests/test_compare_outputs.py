@@ -83,6 +83,21 @@ def test_manifest_ignores_wall_clock_and_nothing_else(tmp_path):
         "c": ["exit 0 -> 2", "stdout"]}
 
 
+def test_verdict_fails_an_undeclared_and_a_stale_declared_case():
+    record = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"out/report.json": "c"}}
+    base = {"same": record, "moved": record, "failed": record}
+    change = {"same": record, "moved": {**record, "files": {"out/report.json": "d"}},
+              "failed": {**record, "exit": 1}}
+    diffs = compare.differences(base, change)
+    assert diffs == {"failed": ["exit 0 -> 1"], "moved": ["out/report.json"]}
+    assert compare.verdict(diffs, {"failed", "moved"}) == (0, [], [])
+    assert compare.verdict(diffs, {"moved"}) == (1, ["failed"], [])
+    # a declaration left over from an earlier change would wave "same" through later
+    assert compare.verdict(diffs, {"failed", "moved", "same"}) == (1, [], ["same"])
+    assert compare.verdict(compare.differences(base, base), set()) == (0, [], [])
+    assert compare.verdict({}, {"same"}) == (1, [], ["same"])
+
+
 def test_manifest_hashes_a_report_in_another_layout_whole(tmp_path):
     base = _case(tmp_path)
     path = tmp_path / "case" / "out" / "report.json"

@@ -124,10 +124,12 @@ def test_optimal_processes():
     assert optimal_processes(1000, "standard") in (31, 32)
     assert optimal_processes(1000, "reusage", k=4) == 63
     assert optimal_processes(4, "standard") == 2
-    with pytest.raises(ValueError, match="reusage optimum needs the iteration count k"):
+    with pytest.raises(ConfigError) as err:
         optimal_processes(1000, "reusage")
-    with pytest.raises(ValueError, match="unknown mode"):
+    assert str(err.value) == "iteration count k must be an integer >= 1, got None"
+    with pytest.raises(ConfigError) as err:
         optimal_processes(1000, "bogus")
+    assert str(err.value) == "mode must be one of ('standard', 'reusage'), got 'bogus'"
     # unchecked, the first returned 1 and the second 50
     for args, kwargs, match in (((True, "standard"), {}, "N_l must be an integer"),
                                 ((1000, "reusage"), {"k": 2.5},

@@ -224,6 +224,13 @@ def test_negative_wss_is_still_rejected():
         gamma_pde(wss, state.grid.x, PDE_GP)
     with pytest.raises(ValueError, match="non-negative"):
         gamma_pde(wss[1], state.grid.x, PDE_GP)
+    # NaN compares false, so each guard asks for >= 0 rather than rejecting < 0
+    nan = np.array([np.nan])
+    for call in (lambda: gamma_ode(nan, ode_state().c_s, ODE_GP),
+                 lambda: gamma_ode(np.array([1.0]), nan, ODE_GP),
+                 lambda: gamma_pde(nan, np.array([0.0]), PDE_GP)):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
 
 
 def test_wss_off_the_support_is_rejected():

@@ -64,8 +64,10 @@ def test_wss_values():
     # calibration: c_geo * 2 rho nu = 1, so wss(q=30, h=1) = 30 = sigma0
     assert wall_shear_stress(30.0, 1.0, MP) == pytest.approx(30.0, abs=1e-12)
     assert wall_shear_stress(30.0, 0.5, MP) == pytest.approx(120.0, abs=1e-12)
-    with pytest.raises(ValueError, match="half-width must be positive"):
-        wall_shear_stress(30.0, 0.0, MP)
+    # NaN compares false, so the guard asks for h > 0 rather than rejecting h <= 0
+    for h in (0.0, float("nan"), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="half-width must be positive"):
+            wall_shear_stress(30.0, h, MP)
 
 
 def test_wss_monotonicity():
@@ -113,8 +115,10 @@ def test_cycle_wss_profile_shape():
 
 
 def test_cycle_channel_closure():
-    with pytest.raises(ChannelClosureError):
-        advance_cycle(MicroState(1.0), 0.04, MP)
+    # a NaN half-width, scalar or in a profile, closes the channel too
+    for h in (0.04, float("nan"), np.array([0.5, np.nan])):
+        with pytest.raises(ChannelClosureError):
+            advance_cycle(MicroState(1.0), h, MP)
 
 
 # --- solve_micro_problem -----------------------------------------------------

@@ -177,6 +177,16 @@ def test_reference_from_another_schedule_rejected(t_end_days, n_l):
     assert rep.reference_endpoint == matching.endpoint
 
 
+def test_reference_message_shows_numbers_as_numbers():
+    # the reference's times are numpy floats, once shown as np.float64(2073600.0)
+    sched, m0, w0 = ode_setup(30, 100, 5)
+    ref = serial_reference(Schedule(24 * DAY, 100, 1))
+    with pytest.raises(ConfigError) as err:
+        run(sched, GP, MP, m0, w0, reference=ref)
+    assert str(err.value) == ("reference has 101 points ending at t=2073600.0; the schedule "
+                              "needs N_l + 1 = 101 ending at T_end=2592000.0")
+
+
 @pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
 def test_p_equals_one_degrades_to_serial(monkeypatch, supplied):
     sched, m0, w0 = ode_setup(30, 50, 1)

@@ -96,12 +96,26 @@ def test_parameter_types_raise_config_errors():
     (lambda: GrowthParams(theta=np.float64(1.5)), "theta must lie in [0, 1], got 1.5"),
     (lambda: GrowthParams(sigma0=np.float64(-30.0)),
      "sigma0 must be positive and finite, got -30.0"),
-    (lambda: GrowthParams(reaction_sign="1"), "reaction_sign must be +1 or -1, got '1'"),
-    (lambda: MicroParams(inflow_offset="1"), "inflow_offset must be 0 or 1, got '1'"),
+    (lambda: GrowthParams(reaction_sign="1"),
+     "reaction_sign must be one of (1, -1), got '1'"),
+    (lambda: MicroParams(inflow_offset="1"), "inflow_offset must be one of (0, 1), got '1'"),
     (lambda: MicroParams(inflow_offset=np.float64(0.5)),
-     "inflow_offset must be 0 or 1, got 0.5"),
+     "inflow_offset must be one of (0, 1), got 0.5"),
+    (lambda: twoscale.Schedule(86400.0, np.int64(0), 1), "N_l must be an integer >= 1, got 0"),
+    (lambda: MicroParams(max_cycles=np.int64(1)), "max_cycles must be an integer >= 2, got 1"),
+    (lambda: preset("ode_paper", model="fem"), "model must be one of ('ode', 'pde'), got 'fem'"),
+    (lambda: preset("ode_paper", threads=0), "threads must be an integer >= 1, got 0"),
+    (lambda: preset("ode_paper", sigma0=np.float64("nan")), "sigma0 must be finite, got nan"),
+    (lambda: parareal.check_run_settings(4, "serial"),
+     "mode must be one of ('standard', 'heuristic', 'reusage'), got 'serial'"),
+    (lambda: GrowthParams(reaction_sign=np.array([1])),
+     "reaction_sign must be one of (1, -1), got array([1])"),
+    (lambda: MicroParams(inflow_offset=np.array([0.0, 1.0])),
+     "inflow_offset must be one of (0, 1), got array([0., 1.])"),
 ], ids=["theta_str", "alpha_str", "delta_tau_str", "none", "bool", "numpy_theta",
-        "numpy_sigma0", "reaction_sign_str", "inflow_offset_str", "numpy_inflow_offset"])
+        "numpy_sigma0", "reaction_sign_str", "inflow_offset_str", "numpy_inflow_offset",
+        "numpy_N_l", "numpy_max_cycles", "model", "threads", "numpy_nan", "serial_mode_at_P4",
+        "array_reaction_sign", "array_inflow_offset"])
 def test_a_value_that_is_no_number_is_quoted(build, message):
     # a string reads as text, not as an in-range number; numpy scalars read as numbers
     with pytest.raises(ConfigError) as err:

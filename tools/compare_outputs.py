@@ -17,10 +17,12 @@ from ``perfbench/workloads.py``, and the others from each tree's own
 ``plaquepar presets`` output plus the overrides listed here, so a changed
 preset shows up as a changed output.  The demos are each tree's own.
 
-Exits 0 when every difference is declared, 1 when one is not.  A
-declared-changes file lists one case name per line; ``#`` starts a
-comment.  A declared case may differ in any recorded item.  For each
-case that differs it also reads the numbers of the case's
+Exits 0 when the cases that differ are exactly the declared ones, and 1
+when a case differs that is not declared or a declared case does not
+differ, since a stale declaration would wave through a later change of
+that case.  A declared-changes file lists one case name per line; ``#``
+starts a comment.  A declared case may differ in any recorded item.
+For each case that differs it also reads the numbers of the case's
 ``report.json`` (without ``wall_clock``) and CSV files (``trajectory.csv``,
 ``sweep.csv``, the demos' files) on both trees, and says whether any
 integer field moved (the ledger counts, ``k_par``, the ``cycles``
@@ -350,6 +352,14 @@ def read_declared(path) -> set:
     return {line.split("#", 1)[0].strip() for line in lines} - {""}
 
 
+def verdict(diffs: dict, declared: set):
+    """(exit code, undeclared, stale) of ``differences()``' result: the cases that
+    differ undeclared and the declared cases that do not differ, each sorted; the
+    code is 1 when either list holds a case, else 0."""
+    undeclared, stale = sorted(set(diffs) - declared), sorted(declared - set(diffs))
+    return (1 if undeclared or stale else 0), undeclared, stale
+
+
 def export(rev: str, dest: Path):
     """Write the tree of ``rev`` to ``dest`` with local ``git archive``."""
     archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
@@ -387,16 +397,16 @@ def main(argv=None) -> int:
                         "rev": args.base_rev if label == "base" else "checkout",
                         "cases": manifests[label]}, indent=2) + "\n", encoding="utf-8")
     diffs = differences(manifests["base"], manifests["change"])
-    undeclared = {name: items for name, items in diffs.items() if name not in declared}
+    code, undeclared, stale = verdict(diffs, declared)
     for name, items in diffs.items():
         print(f"{'declared' if name in declared else 'DIFFERS'}: {name}: {', '.join(items)}")
         case_dirs = (work / label / "cases" / name for label in ("base", "change"))
         print(f"    {describe_numbers(numeric_changes(*case_dirs))}")
-    for name in sorted(declared - set(diffs)):
-        print(f"declared, but unchanged: {name}")
-    print(f"{len(case_list)} cases, {len(diffs)} differ, {len(undeclared)} undeclared; "
-          f"manifests in {work}")
-    return 1 if undeclared else 0
+    for name in stale:
+        print(f"STALE: declared, but unchanged: {name}")
+    print(f"{len(case_list)} cases, {len(diffs)} differ, {len(undeclared)} undeclared, "
+          f"{len(stale)} declared but unchanged; manifests in {work}")
+    return code
 
 
 if __name__ == "__main__":
