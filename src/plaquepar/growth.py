@@ -75,6 +75,9 @@ class GrowthParams:
         check_number("alpha", self.alpha, zero_ok=True)
         for name in ("sigma0", "D_s", "R_s"):
             check_number(name, getattr(self, name))
+        sigma0 = float(self.sigma0)  # the growth laws divide by sigma0^2, in floats
+        if not sigma0 * sigma0 < math.inf:
+            raise ConfigError(f"sigma0 must have a finite square, got {shown(self.sigma0)}")
         if not (is_real(self.theta) and 0.0 <= self.theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {shown(self.theta)}")
         check_choice("reaction_sign", self.reaction_sign, (1, -1))

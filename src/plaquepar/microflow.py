@@ -23,11 +23,9 @@ The cycle-until-periodic loop stops once consecutive cycle-averaged
 growth values agree to eps_p in units of alpha (the criterion is applied
 to gamma_bar / alpha, which makes the tolerance scale-free).
 
-Everything of a cycle that does not depend on the state (the orbit at
-the sample times, the decay factors and the WSS prefactor) is
-computed once per ``MicroParams`` instance and kept on it read-only, so
-one cycle is a handful of array operations.  The two cycles that every
-micro problem runs go through those operations as one array block.
+One cycle is a handful of array operations on the orbit at the sample
+times, the decay factors and the WSS prefactor.  The two cycles that
+every micro problem runs go through those operations as one array block.
 
 Warm starts converge: once the macro state changes slowly, each micro
 problem starts from the very float that ended the one before.  So the
@@ -37,6 +35,9 @@ instance too, as a one-entry memo that the next block with the same q
 (value and type) and the same number of cycles reuses.  Only the
 multiplication by (1 / h^2)^2 runs again, the same float operation as
 in a fresh block, so a reused block gives the same bits as a fresh one.
+A memo miss computes the orbit and the decay factors from the
+``MicroParams`` fields; misses are 1-2% of the calls of a
+warm-started run, so those arrays have no cache of their own.
 """
 
 import math
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import growth
 from .errors import (ChannelClosureError, ConfigError, MicroNonConvergenceError,
-                     check_choice, check_integer, check_number)
+                     check_choice, check_integer, check_number, shown)
 
 __all__ = [
     "MicroParams",
@@ -68,17 +69,11 @@ _MAX_SAMPLES = 100_000
 # support node, about 32 MB of floats; the preset grid's 19 support nodes
 # stay below it at _MAX_SAMPLES
 _MAX_BLOCK = 4_000_000
-
-
-class _CycleData(NamedTuple):
-    """State-independent data of one cycle, sampled at tau_m = m * delta_tau, m = 1..N_s."""
-
-    orbit0: float       # periodic_orbit(0)
-    orbit: np.ndarray   # periodic_orbit(tau)
-    decay: np.ndarray   # exp(-lambda_relax * tau)
-    orbit_end: float    # orbit[-1]
-    decay_end: float    # decay[-1]
-    wss_factor: float   # c_geo * 2 rho_f nu_f, as wall_shear_stress groups it
+# Largest lambda_relax.  Up to it, one cycle's contraction e^-lambda_relax stays a
+# normal float, and the orbit's minimum, about A pi^2 / lambda_relax^2 >= 2e-5 A
+# (A the inflow amplitude), stays far above its rounding error; at 3e10 the orbit
+# sample at tau = 0 rounds below 0
+_MAX_LAMBDA = 700
 
 
 @dataclass(frozen=True)
@@ -112,6 +107,9 @@ class MicroParams:
                      "h_min", "eps_p"):
             check_number(name, getattr(self, name))
         check_number("lambda_relax", self.lambda_relax, zero_ok=True)
+        if self.lambda_relax > _MAX_LAMBDA:
+            raise ConfigError(f"lambda_relax must be at most {_MAX_LAMBDA}, "
+                              f"got {shown(self.lambda_relax)}")
         check_integer("max_cycles", self.max_cycles, 2)
         check_choice("inflow_offset", self.inflow_offset, (0, 1))
         if self.delta_tau < 1.0 / _MAX_SAMPLES:
@@ -121,19 +119,6 @@ class MicroParams:
         ns = 1.0 / self.delta_tau
         if not abs(ns - round(ns)) <= 1e-9:
             raise ConfigError(f"delta_tau={self.delta_tau} must divide the 1-s period exactly")
-        tau = self.delta_tau * np.arange(1, self.n_steps + 1)
-        orbit, decay = periodic_orbit(tau, self), np.exp(-self.lambda_relax * tau)
-        cycle = _CycleData(
-            orbit0=float(periodic_orbit(0.0, self)),
-            orbit=orbit,
-            decay=decay,
-            orbit_end=float(orbit[-1]),
-            decay_end=float(decay[-1]),
-            wss_factor=self.c_geo * 2.0 * self.rho_f * self.nu_f,
-        )
-        for array in (cycle.orbit, cycle.decay):
-            array.flags.writeable = False
-        object.__setattr__(self, "_cycle", cycle)
         object.__setattr__(self, "_block", None)  # advance_cycle's one-entry memo
 
     @property
@@ -267,7 +252,7 @@ def advance_cycle(w0: MicroState, h, params: MicroParams, cycles: int | None = N
     # (orbit0 > 0: the orbit stays above mean_inflow - inflow_amplitude / 2 >= 0)
     if (block is None or block[1] != cycles or type(block[0]) is not type(q0)
             or block[0] != q0):
-        block = _state_block(q0, params._cycle, cycles)
+        block = _state_block(q0, params, cycles)
         object.__setattr__(params, "_block", block)
     _, _, ends, flux_sq = block
     inv = 1.0 / (h * h)
@@ -278,11 +263,15 @@ def advance_cycle(w0: MicroState, h, params: MicroParams, cycles: int | None = N
     return ends, wss_sq
 
 
-def _state_block(q, cycle: _CycleData, cycles: int | None):
+def _state_block(q, params: MicroParams, cycles: int | None):
     """The part of an ``advance_cycle`` block that depends on its start q only:
     (q, cycles, end state(s) as returned, read-only squared flux
-    (wss_factor * q_traj)**2)."""
-    orbit0, orbit_end, decay_end = cycle.orbit0, cycle.orbit_end, cycle.decay_end
+    (wss_factor * q_traj)**2).  The orbit and decay factors at the sample times
+    tau_m = m * delta_tau, m = 1..N_s, are computed here from ``params``."""
+    tau = params.delta_tau * np.arange(1, params.n_steps + 1)
+    orbit, decay = periodic_orbit(tau, params), np.exp(-params.lambda_relax * tau)
+    orbit0 = float(periodic_orbit(0.0, params))
+    orbit_end, decay_end = float(orbit[-1]), float(decay[-1])
     # each period's deviation from the orbit at its start, and its end state:
     # the last sample of q_traj below, computed with the same float operations
     deviations, ends, q_end = [], [], q
@@ -292,10 +281,10 @@ def _state_block(q, cycle: _CycleData, cycles: int | None):
         deviations.append(deviation)
         ends.append(MicroState(q_end))
     if cycles is None:
-        q_traj = cycle.orbit + deviation * cycle.decay
+        q_traj = orbit + deviation * decay
     else:
-        q_traj = cycle.orbit + np.multiply.outer(deviations, cycle.decay)
-    flux_sq = np.square(cycle.wss_factor * q_traj)
+        q_traj = orbit + np.multiply.outer(deviations, decay)
+    flux_sq = np.square(params.c_geo * 2.0 * params.rho_f * params.nu_f * q_traj)
     flux_sq.flags.writeable = False
     return q, cycles, (ends[0] if cycles is None else tuple(ends)), flux_sq
 

@@ -1,7 +1,8 @@
 """The per-cycle micro path against an independent recomputation, bit for bit.
 
-``advance_cycle`` and the states' ``average_growth`` work from data that
-each ``MicroParams`` computes once (orbit, decay factors, WSS prefactor)
+``advance_cycle`` and the states' ``average_growth`` work from the
+block that ``advance_cycle``'s memo keeps (a memo miss computes the
+orbit, decay factors and WSS prefactor from the ``MicroParams`` fields)
 and from the grid's cached damage support; ``solve_micro_problem`` runs
 its first two cycles as one block.  ``advance_cycle`` returns the squared
 wall shear stress, from the squared flux (wss_factor * q)^2 that its memo

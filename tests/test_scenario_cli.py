@@ -112,10 +112,16 @@ def test_parameter_types_raise_config_errors():
      "reaction_sign must be one of (1, -1), got array([1])"),
     (lambda: MicroParams(inflow_offset=np.array([0.0, 1.0])),
      "inflow_offset must be one of (0, 1), got array([0., 1.])"),
+    # finite values that used to end a run in a bare exception
+    (lambda: MicroParams(lambda_relax=3e10),
+     "lambda_relax must be at most 700, got 30000000000.0"),
+    (lambda: MicroParams(lambda_relax=1e200), "lambda_relax must be at most 700, got 1e+200"),
+    (lambda: GrowthParams(sigma0=1e200), "sigma0 must have a finite square, got 1e+200"),
 ], ids=["theta_str", "alpha_str", "delta_tau_str", "none", "bool", "numpy_theta",
         "numpy_sigma0", "reaction_sign_str", "inflow_offset_str", "numpy_inflow_offset",
         "numpy_N_l", "numpy_max_cycles", "model", "threads", "numpy_nan", "serial_mode_at_P4",
-        "array_reaction_sign", "array_inflow_offset"])
+        "array_reaction_sign", "array_inflow_offset", "lambda_relax_3e10",
+        "lambda_relax_1e200", "sigma0_1e200"])
 def test_a_value_that_is_no_number_is_quoted(build, message):
     # a string reads as text, not as an in-range number; numpy scalars read as numbers
     with pytest.raises(ConfigError) as err:
@@ -453,7 +459,10 @@ def test_cli_presets_command(tmp_path):
                                        {"rho_s": 0.0},
                                        # a two-cycle WSS block above the bound
                                        {"model": "pde", "nx": 2001, "ny": 3,
-                                        "delta_tau": 1e-5}])
+                                        "delta_tau": 1e-5},
+                                       # an orbit sample that rounds below 0, and
+                                       # a sigma0^2 that overflows
+                                       {"lambda_relax": 3e10}, {"sigma0": 1e200}])
 def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides):
     flags = {k: v for k, v in overrides.items() if k.startswith("--")}
     path = tmp_path / "bad.json"
@@ -467,7 +476,7 @@ def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides
         argv = ["run", "--scenario", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "configuration error:" in err
+    assert err.startswith("configuration error:")
     if "delta_tau" in overrides:
         assert "delta_tau" in err
 

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 # bump when a case is added, removed or changed, so manifests say which list made them
-CASES_VERSION = 2
+CASES_VERSION = 3
 
 
 class Case(NamedTuple):
@@ -129,6 +129,10 @@ def cases() -> list:
         Case("micro_block_bound", run_scn,
              ("pde_paper", {"T_end_days": 0.2, "nx": 105, "delta_tau": 1e-5})),
         Case("bad_sigma0", run_scn, ("ode_paper", {"sigma0": -30.0})),
+        # finite values above the lambda_relax bound and with an overflowing sigma0^2
+        Case("huge_lambda_relax", run_scn, ("ode_paper", {"lambda_relax": 3e10,
+                                                          "T_end_days": 3.0})),
+        Case("huge_sigma0", run_scn, ("ode_paper", {"sigma0": 1e200, "T_end_days": 3.0})),
         Case("bad_eps_par", run_scn, ("ode_paper", {"eps_par": 0.0})),
         Case("bad_rho_s", run_scn, ("ode_paper", {"rho_s": 0.0})),
         Case("even_nx", run_scn, ("pde_paper", {"nx": 100})),
