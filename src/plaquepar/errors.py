@@ -3,8 +3,8 @@
 The rules run when a parameter object is built, never per step.
 """
 
-import math
 import numbers
+from sys import float_info
 
 
 def is_integer(value) -> bool:
@@ -42,9 +42,10 @@ def check_processes(P, N_l):
 
 
 def check_number(name: str, value, zero_ok: bool = False):
-    """The number rule: a finite real (not bool) above zero, or at zero too when
-    ``zero_ok``, else ConfigError."""
-    if not (is_real(value) and (0 <= value if zero_ok else 0 < value) and value < math.inf):
+    """The number rule: a real (not bool) above zero, or at zero too when ``zero_ok``, and
+    at most ``float_info.max``, else ConfigError.  The bound is not ``math.inf``: Python
+    compares int and float exactly, so ``10**400 < math.inf`` holds."""
+    if not (is_real(value) and (0 <= value if zero_ok else 0 < value) and value <= float_info.max):
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"{name} must be {sign} and finite, got {shown(value)}")
 

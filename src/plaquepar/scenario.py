@@ -13,9 +13,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from sys import float_info
 
 from . import growth, microflow, parareal
-from .errors import ConfigError, check_choice, check_integer, check_number, shown
+from .errors import ConfigError, check_choice, check_integer, check_number
 from .parareal import ENGINE_MODE, STOPPING, check_run_settings
 from .twoscale import DAY, Schedule
 
@@ -77,9 +78,6 @@ class Scenario:
             kinds, what = _ACCEPTS[f.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-            # JSON reads NaN and Infinity, which no range check below catches
-            if f.type is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {shown(value)}")
         check_choice("model", self.model, ("ode", "pde"))
         check_choice("mode", self.mode, MODES)
         check_number("T_end_days", self.T_end_days)
@@ -91,7 +89,7 @@ class Scenario:
             )
         if self.threads is not None:
             check_integer("threads", self.threads, 1)
-        if self.rho_s <= 0:
+        if not 0 < self.rho_s <= float_info.max:
             raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
         # the parameter types and the run settings check themselves and raise ConfigError
         self.growth_params()
@@ -158,7 +156,7 @@ def parse_scenario(source) -> Scenario:
     try:
         with open(name, encoding="utf-8") as f:
             data = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON files are UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, huge ints, deep nesting
         raise ConfigError(f"invalid JSON in {name}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"scenario file {name} must contain a JSON object")

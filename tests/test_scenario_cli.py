@@ -105,7 +105,8 @@ def test_parameter_types_raise_config_errors():
     (lambda: MicroParams(max_cycles=np.int64(1)), "max_cycles must be an integer >= 2, got 1"),
     (lambda: preset("ode_paper", model="fem"), "model must be one of ('ode', 'pde'), got 'fem'"),
     (lambda: preset("ode_paper", threads=0), "threads must be an integer >= 1, got 0"),
-    (lambda: preset("ode_paper", sigma0=np.float64("nan")), "sigma0 must be finite, got nan"),
+    (lambda: preset("ode_paper", sigma0=np.float64("nan")),
+     "sigma0 must be positive and finite, got nan"),
     (lambda: parareal.check_run_settings(4, "serial"),
      "mode must be one of ('standard', 'heuristic', 'reusage'), got 'serial'"),
     (lambda: GrowthParams(reaction_sign=np.array([1])),
@@ -127,6 +128,38 @@ def test_a_value_that_is_no_number_is_quoted(build, message):
     with pytest.raises(ConfigError) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, name, sign", [
+    *[(GrowthParams, name, "positive") for name in ("sigma0", "D_s", "R_s")],
+    (GrowthParams, "alpha", "non-negative"),
+    *[(MicroParams, name, "positive") for name in ("rho_f", "nu_f", "c_geo",
+                                                   "inflow_amplitude", "delta_tau",
+                                                   "h_min", "eps_p")],
+    (MicroParams, "lambda_relax", "non-negative"),
+    (lambda T_end: twoscale.Schedule(T_end, 10, 1), "T_end", "positive"),
+    (lambda eps_par: parareal.check_run_settings(4, "standard", "fine", eps_par),
+     "eps_par", "positive"),
+])
+def test_the_number_rule_rejects_an_integer_no_float_can_hold(build, name, sign):
+    # int and float compare exactly, so 10**400 lies below math.inf
+    with pytest.raises(ConfigError) as err:
+        build(**{name: 10**400})
+    assert str(err.value).startswith(f"{name} must be {sign} and finite, got 1000")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int_1e400"])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)
+                                   if f.type is float])
+def test_every_float_field_rejects_a_value_no_float_can_hold(tmp_path, capsys, field, value):
+    # json.dumps writes NaN, Infinity, -Infinity and all 401 digits, as JSON reads them
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**preset("ode_paper", T_end_days=3.0).to_dict(), field: value}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_parameter_keeps_its_message_and_exit_code(tmp_path, capsys):
@@ -243,6 +276,13 @@ def test_parse_scenario_bad_json(tmp_path):
     with pytest.raises(ConfigError):
         parse_scenario(str(path3))
     assert main(["run", "--scenario", str(path3)]) == 2
+    # past Python's int digit limit, and nested deeper than the parser recurses
+    for name, text in (("long_int.json", "1" * 5000), ("deep.json", "[" * 100_000)):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_scenario(str(path))
+        assert main(["run", "--scenario", str(path)]) == 2
 
 
 def test_initial_states():

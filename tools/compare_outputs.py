@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 # bump when a case is added, removed or changed, so manifests say which list made them
-CASES_VERSION = 3
+CASES_VERSION = 4
 
 
 class Case(NamedTuple):
@@ -133,6 +133,8 @@ def cases() -> list:
         Case("huge_lambda_relax", run_scn, ("ode_paper", {"lambda_relax": 3e10,
                                                           "T_end_days": 3.0})),
         Case("huge_sigma0", run_scn, ("ode_paper", {"sigma0": 1e200, "T_end_days": 3.0})),
+        # an integer above the largest float
+        Case("huge_int_c_geo", run_scn, ("ode_paper", {"c_geo": 10**400, "T_end_days": 3.0})),
         Case("bad_eps_par", run_scn, ("ode_paper", {"eps_par": 0.0})),
         Case("bad_rho_s", run_scn, ("ode_paper", {"rho_s": 0.0})),
         Case("even_nx", run_scn, ("pde_paper", {"nx": 100})),
