@@ -17,10 +17,21 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """A real (not bool) of size at most ``float_info.max``; a Python int compares exactly
+    (``10**400 < math.inf``), any other real as ``float(value)`` (no bound cast to float32)."""
+    return is_real(value) and abs(value if isinstance(value, int)
+                                  else float(value)) <= float_info.max
+
+
 def shown(value) -> str:
     """value as a message shows it: a real number (numpy's too) as ``str``, anything
     else as ``repr``, so that a string reads quoted and not as a number."""
-    return str(value) if is_real(value) else repr(value)
+    try:
+        return str(value) if is_real(value) else repr(value)
+    except ValueError:  # past Python's digit limit for str: an integer, or one in a container
+        return (f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+                if is_integer(value) else f"a {type(value).__name__} too long to show")
 
 
 class ConfigError(ValueError):
@@ -38,14 +49,13 @@ def check_processes(P, N_l):
     check_integer("N_l", N_l, 1)
     check_integer("P", P, 1)
     if P > N_l:
-        raise ConfigError(f"P must satisfy 1 <= P <= N_l={N_l}, got {P}")
+        raise ConfigError(f"P must satisfy 1 <= P <= N_l={shown(N_l)}, got {shown(P)}")
 
 
 def check_number(name: str, value, zero_ok: bool = False):
-    """The number rule: a real (not bool) above zero, or at zero too when ``zero_ok``, and
-    at most ``float_info.max``, else ConfigError.  The bound is not ``math.inf``: Python
-    compares int and float exactly, so ``10**400 < math.inf`` holds."""
-    if not (is_real(value) and (0 <= value if zero_ok else 0 < value) and value <= float_info.max):
+    """The number rule: ``is_finite(value)`` and value above zero, or at zero too when
+    ``zero_ok``, else ConfigError."""
+    if not (is_finite(value) and (0 <= value if zero_ok else 0 < value)):
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"{name} must be {sign} and finite, got {shown(value)}")
 

@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (ConfigError, GridAlignmentError, ImexStepError, check_choice,
-                     check_number, is_real, shown)
+                     check_number, is_integer, is_real, shown)
 
 __all__ = [
     "GrowthParams",
@@ -143,11 +143,12 @@ def _interface_nodes(nx: int, ny: int) -> np.ndarray:
     """The x nodes of an nx x ny grid; ConfigError when the grid is too small or too large."""
     # ny >= 3 keeps an interior row between the Dirichlet row and the
     # interface, which the ghost elimination couples to
-    if nx < 3 or ny < 3:
-        raise ConfigError(f"grid needs nx >= 3 and ny >= 3, got {nx} x {ny}")
+    if not (is_integer(nx) and is_integer(ny) and nx >= 3 and ny >= 3):
+        raise ConfigError(f"grid needs integers nx >= 3 and ny >= 3, "
+                          f"got {shown(nx)} x {shown(ny)}")
     if nx - 2 > _MAX_BASIS or ny - 1 > _MAX_BASIS:
         raise ConfigError(f"grid needs nx <= {_MAX_BASIS + 2} and ny <= {_MAX_BASIS + 1} "
-                          f"(dense eigenbases), got {nx} x {ny}")
+                          f"(dense eigenbases), got {shown(nx)} x {shown(ny)}")
     return np.linspace(-5.0, 5.0, nx)
 
 

@@ -13,24 +13,15 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from sys import float_info
 
 from . import growth, microflow, parareal
-from .errors import ConfigError, check_choice, check_integer, check_number
+from .errors import ConfigError, check_choice, check_integer, check_number, is_finite, shown
 from .parareal import ENGINE_MODE, STOPPING, check_run_settings
 from .twoscale import DAY, Schedule
 
 __all__ = ["Scenario", "parse_scenario", "preset", "PRESETS", "MODES", "STOPPING"]
 
 MODES = tuple(ENGINE_MODE)
-# accepted value types per field annotation; bool is rejected everywhere
-# (it is an int), and JSON writes whole-number floats such as 300 as int
-_ACCEPTS = {
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    str: (str, "a string"),
-    int | None: ((int, type(None)), "an integer or null"),
-}
 
 
 @dataclass(frozen=True)
@@ -73,31 +64,28 @@ class Scenario:
     out_dir: str = "out"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds, what = _ACCEPTS[f.type]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         check_choice("model", self.model, ("ode", "pde"))
         check_choice("mode", self.mode, MODES)
         check_number("T_end_days", self.T_end_days)
         check_number("dt_days", self.dt_days)
         n = self.T_end_days / self.dt_days  # inf when the ratio overflows
         if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9):
-            raise ConfigError(
-                f"dt_days={self.dt_days} must divide T_end_days={self.T_end_days}"
-            )
+            raise ConfigError(f"dt_days={self.dt_days} must divide T_end_days={self.T_end_days}")
+        check_integer("P", self.P, 1)  # a serial scenario's schedule takes P = 1 instead
         if self.threads is not None:
             check_integer("threads", self.threads, 1)
-        if not 0 < self.rho_s <= float_info.max:
-            raise ConfigError(f"rho_s must be positive, got {self.rho_s}")
-        # the parameter types and the run settings check themselves and raise ConfigError
+        if not (is_finite(self.rho_s) and 0 < self.rho_s):
+            raise ConfigError(f"rho_s must be positive, got {shown(self.rho_s)}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {shown(self.out_dir)}")
+        # the owners check the rest and raise ConfigError; the grid rule holds for both models
         self.growth_params()
         micro = self.micro_params()
         check_run_settings(self.schedule().P, ENGINE_MODE[self.mode], self.stopping,
                            self.eps_par, self.max_iters)
+        nodes = growth.check_grid(self.nx, self.ny)
         if self.model == "pde":
-            micro.check_block(growth.check_grid(self.nx, self.ny))
+            micro.check_block(nodes)
 
     @property
     def N_l(self) -> int:
@@ -130,7 +118,7 @@ class Scenario:
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
+            json.dump(self.to_dict(), f, indent=2, default=lambda value: value.item())
             f.write("\n")
 
     @classmethod

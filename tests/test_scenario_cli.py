@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import plaquepar
 from plaquepar import growth, parareal, twoscale
 from plaquepar.cli import main, run_scenario
-from plaquepar.errors import ConfigError
+from plaquepar.errors import ConfigError, GridAlignmentError
 from plaquepar.growth import GrowthParams
 from plaquepar.microflow import MicroParams
 from plaquepar.scenario import PRESETS, Scenario, parse_scenario, preset
@@ -118,11 +119,15 @@ def test_parameter_types_raise_config_errors():
      "lambda_relax must be at most 700, got 30000000000.0"),
     (lambda: MicroParams(lambda_relax=1e200), "lambda_relax must be at most 700, got 1e+200"),
     (lambda: GrowthParams(sigma0=1e200), "sigma0 must have a finite square, got 1e+200"),
+    # Scenario's own fields: P in every mode, out_dir a string
+    (lambda: preset("ode_paper", P="ten"), "P must be an integer >= 1, got 'ten'"),
+    (lambda: preset("ode_paper", out_dir=5), "out_dir must be a string, got 5"),
+    (lambda: preset("ode_paper", rho_s=[1.0]), "rho_s must be positive, got [1.0]"),
 ], ids=["theta_str", "alpha_str", "delta_tau_str", "none", "bool", "numpy_theta",
         "numpy_sigma0", "reaction_sign_str", "inflow_offset_str", "numpy_inflow_offset",
         "numpy_N_l", "numpy_max_cycles", "model", "threads", "numpy_nan", "serial_mode_at_P4",
         "array_reaction_sign", "array_inflow_offset", "lambda_relax_3e10",
-        "lambda_relax_1e200", "sigma0_1e200"])
+        "lambda_relax_1e200", "sigma0_1e200", "serial_P_str", "out_dir_number", "rho_s_list"])
 def test_a_value_that_is_no_number_is_quoted(build, message):
     # a string reads as text, not as an in-range number; numpy scalars read as numbers
     with pytest.raises(ConfigError) as err:
@@ -160,6 +165,83 @@ def test_every_float_field_rejects_a_value_no_float_can_hold(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(Scenario), ids=lambda f: f.name)
+def test_every_field_rejects_a_wrong_typed_json_value(tmp_path, capsys, field):
+    # Scenario keeps no type table: each field's owner rejects what its rule does not take
+    scenario = preset("ode_paper", T_end_days=3.0).to_dict()
+    valid = 1 if scenario[field.name] is None else scenario[field.name]  # threads
+    wrong = [1.0 if isinstance(valid, str) else str(valid), True, [valid]]
+    if scenario[field.name] is not None:
+        wrong.append(None)
+    path = tmp_path / "scn.json"
+    for value in wrong:
+        path.write_text(json.dumps({**scenario, field.name: value}))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, (value, err)
+        assert not (tmp_path / "out").exists()
+
+
+def test_numpy_scalars_build_and_round_trip_as_plain_numbers(tmp_path):
+    # every owner takes numpy's integers and floats, and to_json writes them as JSON numbers
+    scn = preset("pde_paper", P=np.int64(20), nx=np.int64(101))
+    path = tmp_path / "scn.json"
+    scn.to_json(path)
+    again = parse_scenario(str(path))
+    assert again == scn
+    assert type(again.P) is int and type(again.nx) is int
+    # a whole-number float is a choice of reaction_sign, as for GrowthParams
+    assert preset("ode_paper", reaction_sign=1.0).growth_params() == GrowthParams()
+
+
+def test_an_ode_scenario_grid_follows_the_grid_rule():
+    with pytest.raises(GridAlignmentError):
+        preset("ode_paper", nx=100)
+    with pytest.raises(ConfigError, match="grid needs integers"):
+        preset("ode_paper", ny=2)
+
+
+@pytest.mark.parametrize("build", [lambda: growth.check_grid(101, 11.0),
+                                   lambda: growth.check_grid(101.0, 11),
+                                   lambda: growth.check_grid("101", 11),
+                                   lambda: growth.SolidGrid(101, 11.0)],
+                         ids=["float_ny", "float_nx", "str_nx", "grid_float_ny"])
+def test_the_grid_rule_takes_integers_only(build):
+    with pytest.raises(ConfigError, match=r"grid needs integers nx >= 3 and ny >= 3, got "):
+        build()
+
+
+def test_the_number_rule_takes_numpy_narrow_floats_without_a_warning():
+    # numpy casts a float bound to the value's own dtype, where float_info.max overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GrowthParams(alpha=np.float32(5e-7)).alpha == np.float32(5e-7)
+        assert MicroParams(c_geo=np.float16(12.5)).c_geo == 12.5
+        for value in (np.float32("inf"), np.float32("nan")):
+            with pytest.raises(ConfigError) as err:
+                GrowthParams(alpha=value)
+            assert str(err.value) == f"alpha must be non-negative and finite, got {value}"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GrowthParams(sigma0=10**5000),
+     "sigma0 must be positive and finite, got an integer of 16610 bits"),
+    (lambda: twoscale.Schedule(86400.0, 10, 10**5000),
+     "P must satisfy 1 <= P <= N_l=10, got an integer of 16610 bits"),
+    (lambda: growth.check_grid(10**5000, 11),
+     "grid needs nx <= 2002 and ny <= 2001 (dense eigenbases), got an integer of 16610 bits x 11"),
+    (lambda: preset("ode_paper", rho_s=-10**5000),
+     "rho_s must be positive, got a negative integer of 16610 bits"),
+    (lambda: MicroParams(c_geo=[10**5000]), "c_geo must be positive and finite, got a list "
+                                            "too long to show"),
+], ids=["sigma0", "P", "grid", "rho_s", "in_a_list"])
+def test_an_integer_past_the_digit_limit_reads_as_its_size(build, message):
+    # str() of an integer of more than 4300 digits raises ValueError
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_bad_parameter_keeps_its_message_and_exit_code(tmp_path, capsys):

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 # bump when a case is added, removed or changed, so manifests say which list made them
-CASES_VERSION = 4
+CASES_VERSION = 5
 
 
 class Case(NamedTuple):
@@ -138,6 +138,9 @@ def cases() -> list:
         Case("bad_eps_par", run_scn, ("ode_paper", {"eps_par": 0.0})),
         Case("bad_rho_s", run_scn, ("ode_paper", {"rho_s": 0.0})),
         Case("even_nx", run_scn, ("pde_paper", {"nx": 100})),
+        # a wrong-typed field meets its owner's rule; an ODE scenario's grid meets the grid rule
+        Case("string_P", run_scn, ("ode_paper", {"P": "ten", "T_end_days": 3.0})),
+        Case("ode_even_nx", run_scn, ("ode_paper", {"nx": 100, "T_end_days": 3.0})),
         Case("unknown_key", run_scn, {"sigma_0": 30.0}),
         Case("oversized_P", ("plaquepar", "run", "--scenario", "ode_paper", "--mode",
                              "parareal", "--P", "1001", "--out", "out")),
