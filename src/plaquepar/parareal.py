@@ -30,6 +30,12 @@ iteration, while each re-usage iteration replaces it with ``micro0``
 and the neighboring intervals' last fine micro states, passed across
 processes.
 
+``run`` stops when the stopping functional moves by at most ``eps_par``
+in one iteration.  The fine endpoint is tested from k = 2 on: at k = 1
+it would be compared with the initialization's coarse endpoint, and
+both start the last interval from the same coarse value, so they agree
+while the iterate is still far from the serial run.
+
 ``run`` takes the serial reference run first: the one supplied, or one
 ``twoscale.run_serial`` call.  With P=1 that reference is the run: its
 record is the report's trajectory, its endpoint both endpoints, and the
@@ -276,8 +282,10 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
 
     The stopping functional s_k is the fine endpoint value (stopping
     "fine") or the coarse iterate endpoint ("coarse"); s_0 comes from
-    the initialization sweep.  Per-iteration errors are reported against
-    a serial reference trajectory (computed here unless supplied).
+    the initialization sweep.  The fine test starts at k = 2, since
+    F(c^0(T_{P-1})) and s_0 start from the same coarse value.
+    Per-iteration errors are reported against a serial reference
+    trajectory (computed here unless supplied).
     At P=1 that reference is returned as the serial report: its record
     as the trajectory, its endpoint as both endpoints, its cycles in the
     ledger, k_par = 0, labelled with ``mode`` as given.
@@ -332,7 +340,8 @@ def run(schedule: Schedule, growth_params: growth.GrowthParams,
         engine.initialize()
         while engine.k < max_iters:
             values = engine.iterate().endpoints[stopping]
-            if abs(values[-1] - values[-2]) <= eps_par:
+            if ((stopping == "coarse" or engine.k >= 2)
+                    and abs(values[-1] - values[-2]) <= eps_par):
                 return report(True)
     except RunError as exc:
         exc.report = report(False)

@@ -23,10 +23,11 @@ as one array), the standard/heuristic corrector
 C(c^{k+1}(T_p)) + F(c^k(T_p)) - C(c^k(T_p)) or the re-usage master's
 re-run over the fine grid with the stored growth values, and the stopping
 test |s_k - s_{k-1}| <= eps_par on the last fine endpoint ("fine", whose
-s_0 is the initialization's coarse endpoint) or on the coarse iterate's
-endpoint ("coarse").  Every fine and coarse step first checks closure,
-1 - c <= h_min; the master's re-run does not.  numpy only: parameters
-come in as plain numbers, and no micro state or warm start is kept.
+s_0 is the initialization's coarse endpoint, tested from k = 2 on as the
+engine does) or on the coarse iterate's endpoint ("coarse").  Every fine
+and coarse step first checks closure, 1 - c <= h_min; the master's re-run
+does not.  numpy only: parameters come in as plain numbers, and no micro
+state or warm start is kept.
 """
 
 import math
@@ -40,7 +41,8 @@ class Outcome(NamedTuple):
 
     result is "converged", "ChannelClosureError" or
     "PararealNonConvergenceError"; margin is the smallest
-    |delta_k - eps_par| / eps_par over the iterations (inf before the first).
+    |delta_k - eps_par| / eps_par over the tested iterations (inf before the
+    first).
     """
 
     result: str
@@ -121,6 +123,8 @@ def run(*, T_end, N_l, P, mode, stopping, eps_par, max_iters, h_min, **law_param
             k += 1
             s["fine"].append(ends[-1])
             s["coarse"].append(c_bar[-1])
+            if stopping == "fine" and k == 1:
+                continue
             delta = float(abs(s[stopping][-1] - s[stopping][-2]))
             margin = min(margin, abs(delta - eps_par) / eps_par)
             if delta <= eps_par:

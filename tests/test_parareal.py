@@ -146,6 +146,17 @@ def test_coarse_criterion_not_later_than_fine():
     assert rep_coarse.k_par <= rep_fine.k_par
 
 
+def test_fine_stopping_starts_at_the_second_iteration(ode_paper_reference):
+    # at k = 1 the fine endpoint and s_0 start the last interval from the same
+    # coarse value, so they agree within eps_par while the iterate is far off
+    sched, gp, mp, m0, w0 = _ode_paper(P=20)
+    rep = run(sched, gp, mp, m0, w0, mode="standard", stopping="fine", eps_par=1e-3,
+              reference=ode_paper_reference)
+    assert rep.per_iteration[0]["stopping_delta"] <= rep.eps_par
+    assert rep.converged and rep.k_par >= 2
+    assert abs(rep.endpoint - rep.reference_endpoint) <= rep.eps_par
+
+
 def test_uneven_interval_distribution():
     # P does not divide N_l: boundaries stay on the fine grid
     sched, m0, w0 = ode_setup(30, 100, 7)

@@ -9,12 +9,11 @@ other trajectory column must agree to 1e-10 relative: the last bits of
 the PDE go through BLAS matrix products, which may round differently
 elsewhere (``test_pinned_outputs`` pins the ODE byte for byte instead).
 
-Parareal and reusage with fine stopping stop at k_par = 1.  That is the
-known defect of the ``fine`` rule (ROADMAP item 1): at k = 1 it compares
-a fine endpoint with the initialization's coarse endpoint, which start
-from the same coarse value.  The fix of that rule changes these two
-runs' values; it re-records them (``python tests/test_pde_golden.py``)
-and declares the change.
+Parareal and reusage with fine stopping converge at k_par = 3.  The
+``fine`` rule tests its delta from k = 2 on: at k = 1 the fine endpoint
+and the initialization's coarse endpoint start from the same coarse
+value, so their difference says nothing about convergence.  ``python
+tests/test_pde_golden.py`` re-records every cell.
 """
 
 import json
