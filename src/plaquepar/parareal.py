@@ -82,6 +82,9 @@ def check_run_settings(P, mode, stopping=DEFAULT_STOPPING, eps_par=DEFAULT_EPS_P
     check_choice("stopping", stopping, STOPPING)
     check_number("eps_par", eps_par)
     check_integer("max_iters", max_iters, 1)
+    if stopping == "fine" and P >= 2 and max_iters < 2:
+        raise ConfigError(f"max_iters must be >= 2 with fine stopping at P >= 2, since the "
+                          f"fine test starts at k = 2, got {shown(max_iters)}")
 
 
 class PararealEngine:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -288,9 +289,16 @@ def contraction_bound(state, dt, p):
     return 0.5 * p.R_s * (hi - lo) / (shift + p.D_s * (g.x_eigenvalues[0] + g.y_eigenvalues[0]))
 
 
-def test_grid_eigenbases_diagonalize_the_laplacians():
-    g = SolidGrid(9, 5)
+@pytest.mark.parametrize("nx, ny", [(9, 5), (101, 11), (5, 501)])
+def test_grid_eigenbases_diagonalize_the_laplacians(nx, ny):
+    g = SolidGrid(nx, ny)
     nxi, nyi = g.nx - 2, g.ny - 1
+    # the x basis as built before both directions shared one sine rule, bit for bit
+    k = np.arange(1, nxi + 1)
+    x_eigenvalues = 4.0 / g.hx**2 * np.sin(0.5 * np.pi * k / (nxi + 1)) ** 2
+    sines = math.sqrt(2.0 / (nxi + 1)) * np.sin(np.pi * np.arange(2 * nxi + 2) / (nxi + 1))
+    assert np.array_equal(g.x_eigenvalues, x_eigenvalues)
+    assert np.array_equal(g.sine_basis, sines[np.outer(k, k) % (2 * nxi + 2)])
     lx = (2.0 * np.eye(nxi) - np.eye(nxi, k=1) - np.eye(nxi, k=-1)) / g.hx**2
     ly = (2.0 * np.eye(nyi) - np.eye(nyi, k=1) - np.eye(nyi, k=-1)) / g.hy**2
     ly[-1, -2] = -2.0 / g.hy**2  # ghost-eliminated interface row
@@ -303,6 +311,19 @@ def test_grid_eigenbases_diagonalize_the_laplacians():
     assert np.all(np.diff(g.x_eigenvalues) > 0) and np.all(np.diff(g.y_eigenvalues) > 0)
     for name in ("sine_basis", "x_eigenvalues", "y_basis", "y_basis_inv", "y_eigenvalues"):
         assert not getattr(g, name).flags.writeable
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 5), (101, 11), (5, 2001)])
+def test_grid_builds_without_an_eigensolver(monkeypatch, nx, ny):
+    # both bases are closed-form sines
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("SolidGrid called an eigensolver")
+
+    for name in ("eig", "eigh"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolver)
+    g = SolidGrid(nx, ny)
+    assert g.y_basis.shape == g.y_basis_inv.shape == (ny - 1, ny - 1)
+    assert np.all(np.diff(g.y_eigenvalues) > 0)
 
 
 @pytest.mark.parametrize("nx, ny", [(5, 3), (16, 5), (101, 11)])

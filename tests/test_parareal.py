@@ -157,6 +157,17 @@ def test_fine_stopping_starts_at_the_second_iteration(ode_paper_reference):
     assert abs(rep.endpoint - rep.reference_endpoint) <= rep.eps_par
 
 
+def test_fine_stopping_needs_two_iterations_at_p_of_two_or_more():
+    sched, m0, w0 = ode_setup(3, 10, 4)
+    with pytest.raises(ConfigError) as err:
+        run(sched, GP, MP, m0, w0, stopping="fine", eps_par=1.0, max_iters=np.int64(1))
+    assert str(err.value) == ("max_iters must be >= 2 with fine stopping at P >= 2, "
+                              "since the fine test starts at k = 2, got 1")
+    assert run(sched, GP, MP, m0, w0, stopping="coarse", eps_par=1.0, max_iters=1).converged
+    serial, m0, w0 = ode_setup(3, 10, 1)
+    assert run(serial, GP, MP, m0, w0, stopping="fine", eps_par=1.0, max_iters=1).converged
+
+
 def test_uneven_interval_distribution():
     # P does not divide N_l: boundaries stay on the fine grid
     sched, m0, w0 = ode_setup(30, 100, 7)

@@ -267,6 +267,31 @@ def test_bad_run_setting_has_the_owners_message_and_exit_code(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+FINE_ONE_ITERATION = {"T_end_days": 30, "mode": "parareal", "max_iters": 1, "eps_par": 1.0}
+
+
+def test_fine_stopping_with_one_iteration_is_a_configuration_error(tmp_path, capsys):
+    # the fine test starts at k = 2, so one iteration could never converge
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**preset("ode_paper").to_dict(), **FINE_ONE_ITERATION}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: max_iters must be >= 2 with fine stopping at P >= 2, "
+        "since the fine test starts at k = 2, got 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", [{"stopping": "coarse"}, {"mode": "serial"}],
+                         ids=["coarse", "serial"])
+def test_one_iteration_still_runs_with_coarse_stopping_or_serially(tmp_path, capsys, setting):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**preset("ode_paper").to_dict(), **FINE_ONE_ITERATION,
+                                **setting}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("setting", [
     {"stopping": "midpoint"}, {"eps_par": -1.0}, {"max_iters": 0},
 ])

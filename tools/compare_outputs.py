@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 # bump when a case is added, removed or changed, so manifests say which list made them
-CASES_VERSION = 5
+CASES_VERSION = 6
 
 
 class Case(NamedTuple):
@@ -141,6 +141,9 @@ def cases() -> list:
         # a wrong-typed field meets its owner's rule; an ODE scenario's grid meets the grid rule
         Case("string_P", run_scn, ("ode_paper", {"P": "ten", "T_end_days": 3.0})),
         Case("ode_even_nx", run_scn, ("ode_paper", {"nx": 100, "T_end_days": 3.0})),
+        # the fine test starts at k = 2, so one iteration cannot converge
+        Case("fine_max_iters_one", run_scn, ("ode_paper", {"T_end_days": 30, "mode": "parareal",
+                                                          "max_iters": 1, "eps_par": 1.0})),
         Case("unknown_key", run_scn, {"sigma_0": 30.0}),
         Case("oversized_P", ("plaquepar", "run", "--scenario", "ode_paper", "--mode",
                              "parareal", "--P", "1001", "--out", "out")),
