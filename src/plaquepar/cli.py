@@ -2,8 +2,8 @@
 
 `plaquepar run` executes one scenario and writes trajectory.csv,
 report.json and table.txt to the output directory; `plaquepar sweep`
-repeats a parareal scenario over several process counts (live, or
-footer-only from the closed-form cost model via --formula-only);
+repeats a parareal scenario over several process counts (live, or,
+given --kpar, footer-only from the closed-form cost model);
 `plaquepar presets` writes the shipped paper scenarios as JSON files.
 """
 
@@ -96,8 +96,6 @@ def _parse_int_list(text: str, flag: str) -> list:
 
 def _formula_columns(scenarios, kpar) -> list:
     """Sweep columns from the closed-form counts, one --kpar value per scenario."""
-    if kpar is None:
-        raise ConfigError("--formula-only needs --kpar with one value per P")
     k_values = _parse_int_list(kpar, "--kpar")
     if len(k_values) != len(scenarios):
         raise ConfigError(
@@ -119,10 +117,8 @@ def _cmd_sweep(args) -> int:
     scenarios = [dataclasses.replace(base, mode=mode, P=P)
                  for P in _parse_int_list(args.p_list, "--P")]
     failed = False
-    if args.formula_only:
+    if args.kpar is not None:
         columns = _formula_columns(scenarios, args.kpar)
-    elif args.kpar is not None:
-        raise ConfigError("--kpar needs --formula-only")
     else:
         # P = 1: the serial reference run that every column compares with
         reference = twoscale.run_serial(base.schedule(), base.growth_params(),
@@ -186,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--P", required=True, dest="p_list", metavar="P",
                          help="comma-separated process counts")
     sweep_p.add_argument("--mode", choices=[m for m in MODES if m != "serial"])
-    sweep_p.add_argument("--formula-only", action="store_true",
-                         help="emit the cost-model footer only, no live runs")
-    sweep_p.add_argument("--kpar", help="iteration counts for --formula-only")
+    sweep_p.add_argument("--kpar",
+                         help="iteration counts, one per P; selects the closed-form footer")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     presets_p = sub.add_parser("presets", help="write the shipped paper presets")

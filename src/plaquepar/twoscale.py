@@ -34,10 +34,11 @@ class Schedule:
     """Macro and coarse time grids; the micro grid belongs to MicroParams.
 
     T_end in seconds; N_l and P are integers (not bool).  The fine step
-    is dt = T_end / N_l (always derived, never configured independently).  P coarse intervals cover the
-    horizon; when P does not divide N_l the first N_l mod P intervals
-    carry one extra fine step, so interval boundaries stay on the fine
-    grid and the per-process maximum is ceil(N_l / P).
+    is dt = T_end / N_l (always derived, never configured independently).
+    P coarse intervals cover the horizon; when P does not divide N_l the
+    first N_l mod P intervals carry one extra fine step, so interval
+    boundaries stay on the fine grid and the per-process maximum is
+    ceil(N_l / P).
     """
 
     T_end: float

@@ -27,7 +27,7 @@ def test_case_list_parses():
     for case in cases:
         head, *args = case.argv
         if head == "plaquepar":
-            if case.name == "sweep_serial_mode":  # the usage error it records
+            if case.name in ("sweep_serial_mode", "formula_only_flag"):  # usage errors
                 with pytest.raises(SystemExit):
                     build_parser().parse_args(args)
             else:
@@ -43,6 +43,15 @@ def test_case_list_parses():
     assert sum(name.startswith("run_") for name in names) == 16
     assert sum(name.startswith("demo_") for name in names) == 5
     assert compare.read_declared(ROOT / "tools" / "declared_changes.txt") <= set(names)
+
+
+def test_cases_digest_follows_the_case_list():
+    cases = compare.cases()
+    digest = compare.cases_digest(cases)
+    assert digest == compare.cases_digest(compare.cases())
+    assert len(digest) == 64
+    edited = [cases[0]._replace(argv=cases[0].argv + ("--stopping", "fine")), *cases[1:]]
+    assert compare.cases_digest(edited) != digest
 
 
 def _case(tmp_path, report_edit=None, table="table\n", exit_code=0, stdout=b"ok\n"):

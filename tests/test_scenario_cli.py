@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -474,36 +475,63 @@ def test_cli_oversized_p_is_config_error(tmp_path):
 def test_cli_sweep_formula_only(tmp_path):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--scenario", "ode_paper", "--mode", "parareal",
-               "--P", "10,20,30,40,50", "--kpar", "4,3,3,3,3",
-               "--formula-only", "--out", out])
+               "--P", "10,20,30,40,50", "--kpar", "4,3,3,3,3", "--out", out])
     assert rc == 0
     csv = (tmp_path / "sweep" / "sweep.csv").read_text()
     mp_line = [l for l in csv.splitlines() if l.startswith("#_mp")][0]
     assert mp_line == "#_mp,450,230,222,235,260,P=30"
 
 
+def test_cli_sweep_kpar_writes_the_pinned_footer(tmp_path, capsys):
+    """--kpar alone selects the closed-form sweep; its files keep their pinned bytes."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", "ode_paper", "--mode", "parareal",
+                 "--P", "10,20,30,40,50", "--kpar", "4,3,3,3,3", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("table.txt", "sweep.csv")}
+    assert digests == {
+        "table.txt": "8dc42119f8392c542de32625c47f5907c4a2e84d2899503cd910a5f55eda8bb5",
+        "sweep.csv": "4e463dedc32740675a5700a79175790e0f08795bf6cff5dfa193544a80c45052",
+    }
+    assert capsys.readouterr().out == (out / "table.txt").read_text() + (
+        f"sweep written to {out}/table.txt and {out}/sweep.csv\n")
+
+
+def test_cli_sweep_formula_only_flag_is_unrecognized(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", "ode_paper", "--P", "10", "--kpar", "3",
+              "--formula-only", "--out", str(tmp_path / "sweep")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --formula-only" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_sweep_formula_needs_matching_kpar(tmp_path, capsys):
     rc = main(["sweep", "--scenario", "ode_paper", "--P", "10,20",
-               "--kpar", "4", "--formula-only", "--out", str(tmp_path)])
+               "--kpar", "4", "--out", str(tmp_path)])
     assert rc == 2
-    rc = main(["sweep", "--scenario", "ode_paper", "--P", "10,20",
-               "--formula-only", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "--formula-only needs --kpar" in capsys.readouterr().err
-    # --kpar only feeds the closed-form counts; a live sweep used to drop it
-    rc = main(["sweep", "--scenario", "ode_paper", "--P", "2", "--kpar", "3",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == "configuration error: --kpar needs --formula-only\n"
+    assert capsys.readouterr().err == (
+        "configuration error: --kpar lists 1 values for 2 process counts\n")
     assert not any(tmp_path.iterdir())
+    # --kpar alone writes the footer; --P without --kpar runs live
+    scn, path = small_scenario(tmp_path, mode="parareal")
+    for name, kpar in (("footer", ["--kpar", "3"]), ("live", [])):
+        assert main(["sweep", "--scenario", path, "--P", "2", *kpar,
+                     "--out", str(tmp_path / name)]) == 0
+    footer, live = ((tmp_path / name / "table.txt").read_text().splitlines()
+                    for name in ("footer", "live"))
+    # the live run converges at k = 3, so both count the same micro problems
+    assert footer[2].split()[:3] == ["#", "mp", "158"] and len(footer) == 5
+    assert [row.split()[0] for row in live[2:5]] == ["1", "2", "3"]
+    assert live[5].split() == footer[2].split() and live[-1].startswith("est. runtime")
 
 
 def test_cli_sweep_empty_p_list(tmp_path, capsys):
     rc = main(["sweep", "--scenario", "ode_paper", "--P", ",",
-               "--formula-only", "--kpar", "3", "--out", str(tmp_path)])
+               "--kpar", "3", "--out", str(tmp_path)])
     assert rc == 2
     rc = main(["sweep", "--scenario", "ode_paper", "--P", "10,x",
-               "--formula-only", "--kpar", "3,3", "--out", str(tmp_path)])
+               "--kpar", "3,3", "--out", str(tmp_path)])
     assert rc == 2
     assert "--P expects a comma-separated integer list" in capsys.readouterr().err
 
@@ -616,7 +644,7 @@ def test_cli_invalid_model_parameter_is_config_error(tmp_path, capsys, overrides
     path.write_text(json.dumps({**preset("ode_paper").to_dict(),
                                 **{k: v for k, v in overrides.items() if k not in flags}}))
     if flags:
-        argv = ["sweep", "--scenario", str(path), "--formula-only", "--out", str(tmp_path)]
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path)]
         for flag, value in {"--P": "10", "--kpar": "3", **flags}.items():
             argv += [flag, value]
     else:

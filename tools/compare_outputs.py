@@ -10,7 +10,8 @@ in the output are the same on both trees.  A case records its exit code,
 the sha256 of its stdout and stderr, and the sha256 of every file it
 leaves behind; ``report.json`` is hashed without its ``wall_clock``
 member, which holds the measured seconds.  One manifest per tree goes to
-``WORK/base/manifest.json`` and ``WORK/change/manifest.json``.
+``WORK/base/manifest.json`` and ``WORK/change/manifest.json``, with the
+sha256 of the case list as ``cases_digest``.
 
 The scenario inputs come from this checkout: the ``perfbench`` workloads
 from ``perfbench/workloads.py``, and the others from each tree's own
@@ -46,8 +47,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
-# bump when a case is added, removed or changed, so manifests say which list made them
-CASES_VERSION = 6
 
 
 class Case(NamedTuple):
@@ -81,7 +80,7 @@ PDE_LONG = ("pde_paper", {"T_end_days": 600.0, "dt_days": 6.0, "nx": 21, "ny": 5
 
 
 def cases() -> list:
-    """The versioned case list."""
+    """The case list; a manifest records its cases_digest."""
     out = []
     for name, w in _workloads().items():
         out.append(Case(f"perfbench_{name}", ("plaquepar", *w.cli_args("scn.json", "out")),
@@ -107,8 +106,10 @@ def cases() -> list:
     for mode in ("parareal", "reusage", "heuristic"):
         out.append(Case(f"formula_{mode}",
                         ("plaquepar", "sweep", "--scenario", "ode_paper", "--mode", mode,
-                         "--P", "10,20,50", "--formula-only", "--kpar", "3,4,5",
-                         "--out", "out")))
+                         "--P", "10,20,50", "--kpar", "3,4,5", "--out", "out")))
+    # --kpar alone selects the closed-form footer
+    out.append(Case("kpar_alone", ("plaquepar", "sweep", "--scenario", "scn.json", "--P", "2",
+                                   "--kpar", "3", "--out", "out"), ODE_30))
     out.append(Case("presets", ("plaquepar", "presets", "--out", "out")))
     # exit 1: i/o and run failures
     out += [
@@ -148,9 +149,9 @@ def cases() -> list:
         Case("oversized_P", ("plaquepar", "run", "--scenario", "ode_paper", "--mode",
                              "parareal", "--P", "1001", "--out", "out")),
         Case("kpar_mismatch", ("plaquepar", "sweep", "--scenario", "ode_paper", "--P",
-                               "10,20", "--formula-only", "--kpar", "3", "--out", "out")),
-        Case("kpar_without_formula_only", ("plaquepar", "sweep", "--scenario", "scn.json",
-                                           "--P", "2", "--kpar", "3", "--out", "out"), ODE_30),
+                               "10,20", "--kpar", "3", "--out", "out")),
+        Case("formula_only_flag", ("plaquepar", "sweep", "--scenario", "ode_paper", "--P",
+                                   "10", "--kpar", "3", "--formula-only", "--out", "out")),
         Case("sweep_serial_mode", ("plaquepar", "sweep", "--scenario", "ode_paper",
                                    "--mode", "serial", "--P", "10", "--out", "out")),
     ]
@@ -162,6 +163,11 @@ def cases() -> list:
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def cases_digest(case_list) -> str:
+    """sha256 of a case list, so a manifest says which list made it."""
+    return _sha(json.dumps(case_list, sort_keys=True).encode())
 
 
 def file_digest(path: Path) -> str:
@@ -405,7 +411,7 @@ def main(argv=None) -> int:
         print(f"{label}: {tree}", flush=True)
         manifests[label] = run_tree(tree, work / label, case_list)
         (work / label / "manifest.json").write_text(
-            json.dumps({"cases_version": CASES_VERSION, "tree": label,
+            json.dumps({"cases_digest": cases_digest(case_list), "tree": label,
                         "rev": args.base_rev if label == "base" else "checkout",
                         "cases": manifests[label]}, indent=2) + "\n", encoding="utf-8")
     diffs = differences(manifests["base"], manifests["change"])
