@@ -14,11 +14,11 @@ Modes:
   and no coarse micro problems after initialization).
 
 The P fine sweeps of one iteration are independent; the paper runs them
-on P processes, and the engine runs them one after another in interval
-order in the calling thread, counting the same micro problems, growth
-solves and messages per process.  The engine does all cost counting,
-one ledger call per event: ``add_fine_sweep`` per finished fine sweep,
-from the cycles of the ``StepRow``s that ``advance_two_scale`` returns,
+on P processes, and ``PararealEngine.fine_sweeps`` runs them one after
+another in interval order in the calling thread, counting the same
+micro problems, growth solves and messages per process.  The engine
+does all cost counting, one ledger call per event: ``add_fine_sweep``
+per finished fine sweep, from the cycles of the ``StepRow``s it returns,
 and ``add_coarse_step`` per coarse step, with the cycles of the
 ``GrowthSample`` of ``run_coarse_step`` (0 for the stationary surrogate
 and for the re-usage master's steps); the propagators count nothing.
@@ -160,11 +160,11 @@ class PararealEngine:
 
     # -- one parareal iteration (II) ----------------------------------------
 
-    def iterate(self):
-        """Fine sweeps from the current iterate, then the master's update."""
-        if self.c_bar is None:
-            raise RuntimeError("call initialize() before iterate()")
-        P = self.sched.P
+    def fine_sweeps(self):
+        """The P fine sweeps from ``c_bar`` and ``warm``, one fine propagator call
+        each in interval order, each counted in the ledger as it finishes.
+        Returns (end states, end micro states, the StepRows of all N_l steps);
+        the iterate and the warm starts change only in ``iterate``."""
         ends, end_micro, steps = [], [], []
         for p, warm in enumerate(self.warm):
             start = dataclasses.replace(self.c_bar[p], t=self._bounds[p] * self.sched.dt)
@@ -175,6 +175,14 @@ class PararealEngine:
             ends.append(end)
             end_micro.append(w)
             steps += interval_steps
+        return ends, end_micro, steps
+
+    def iterate(self):
+        """Fine sweeps from the current iterate, then the master's update."""
+        if self.c_bar is None:
+            raise RuntimeError("call initialize() before iterate()")
+        P = self.sched.P
+        ends, end_micro, steps = self.fine_sweeps()
         if self.mode == "reusage":
             # stored growth values to the master, micro states to the neighbor
             self.ledger.add_message(2 * P)

@@ -40,7 +40,7 @@ def test_case_list_parses():
         elif case.scenario is not None:
             assert isinstance(case.scenario, dict), case.name
     assert sum(name.startswith("perfbench_") for name in names) == 4
-    assert sum(name.startswith("run_") for name in names) == 16
+    assert sum(name.startswith("run_") for name in names) == 19
     assert sum(name.startswith("demo_") for name in names) == 5
     assert compare.read_declared(ROOT / "tools" / "declared_changes.txt") <= set(names)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import threading
 import weakref
@@ -307,6 +308,65 @@ def test_fine_sweeps_start_no_thread(monkeypatch, mode):
     assert report.k_par >= 1
 
 
+def _bits(value):
+    """A state, row or sequence of them as plain values that compare bit for bit:
+    floats as their hex form, arrays as dtype, shape and bytes."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_bits(getattr(value, f.name))
+                                  for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(_bits(item) for item in value)
+    return value
+
+
+@pytest.mark.parametrize("model", ["ode", "pde"])
+def test_fine_sweeps_equal_direct_propagator_calls(model):
+    # N_l = 16 on P = 5 intervals: lanes of 4, 3, 3, 3 and 3 steps
+    if model == "ode":
+        (sched, m0, w0), gp, mp = ode_setup(24, 16, 5), GP, MP
+    else:
+        sched, gp, mp = Schedule(16 * DAY, 16, 5), PDE_GP, PDE_MP
+        m0, w0 = FieldState.zero(SolidGrid(21, 5)), MicroState(0.0)
+    eng = PararealEngine(sched, gp, mp, m0, w0, mode="standard").initialize()
+    lanes, bounds = sched.interval_steps(), sched.boundaries()
+    assert lanes == [4, 3, 3, 3, 3]
+    c_bar, warm = list(eng.c_bar), list(eng.warm)
+    direct = [advance_two_scale(dataclasses.replace(c_bar[p], t=bounds[p] * sched.dt),
+                                warm[p], lanes[p], sched.dt, gp, mp) for p in range(5)]
+    ends, end_micro, steps = eng.fine_sweeps()
+    assert _bits(ends) == _bits([end for end, _, _ in direct])
+    assert _bits(end_micro) == _bits([w for _, w, _ in direct])
+    assert _bits(steps) == _bits([row for _, _, rows in direct for row in rows])
+    assert eng.ledger.per_process_micro == lanes
+    # the iterate and the warm starts wait for the master update
+    assert eng.k == 0 and eng.last_steps is None
+    assert all(a is b for a, b in zip(eng.c_bar + eng.warm, c_bar + warm))
+
+
+@pytest.mark.parametrize("mode", ["standard", "heuristic", "reusage"])
+def test_each_iteration_calls_the_propagator_once_per_lane_in_order(monkeypatch, mode):
+    # the span shape perfbench reads its fine phase and load imbalance from
+    calls = []
+
+    def spy(start, warm, n_steps, *args):
+        calls.append((start.t, n_steps))
+        return advance_two_scale(start, warm, n_steps, *args)
+    monkeypatch.setattr(parareal, "advance_two_scale", spy)
+    sched, m0, w0 = ode_setup(24, 16, 5)
+    eng = PararealEngine(sched, GP, MP, m0, w0, mode=mode).initialize()
+    assert calls == []
+    starts = [b * sched.dt for b in sched.boundaries()[:-1]]
+    assert starts == sorted(set(starts))  # T_0 < ... < T_{P-1}
+    for _ in range(3):
+        eng.iterate()
+        assert calls == list(zip(starts, sched.interval_steps()))
+        calls.clear()
+
+
 # --- initialization costs -------------------------------------------------------------
 
 def test_initialize_ledger_attribution():
@@ -550,7 +610,8 @@ def test_channel_closure_in_first_master_update_carries_report(ode_paper_referen
     assert rep.speedup == 1000 / rep.ledger.micro_serial_equivalent
 
 
-def test_any_run_error_in_the_iteration_carries_report(monkeypatch):
+@pytest.mark.parametrize("failing", [0, 2, 3])
+def test_any_run_error_in_the_iteration_carries_report(monkeypatch, failing):
     class SweepError(RunError):
         """A run failure of a kind the engine does not name."""
 
@@ -558,7 +619,7 @@ def test_any_run_error_in_the_iteration_carries_report(monkeypatch):
 
     def failing_sweep(*args):
         sweeps.append(args)
-        if len(sweeps) == 4 + 1:  # the first fine sweep of iteration 2
+        if len(sweeps) == 4 + 1 + failing:  # the first, third or last sweep of iteration 2
             raise SweepError("sweep failed")
         return advance_two_scale(*args)
     monkeypatch.setattr(parareal, "advance_two_scale", failing_sweep)
@@ -568,6 +629,8 @@ def test_any_run_error_in_the_iteration_carries_report(monkeypatch):
     rep = exc.value.report
     assert rep.k_par == 1 and rep.converged is False
     assert len(rep.per_iteration) == 1 and len(rep.trajectory) == 17
+    # iteration 1, then the sweeps of iteration 2 that finished before the failing one
+    assert rep.ledger.per_process_micro == [4 + 4 * (p < failing) for p in range(4)]
 
 
 def test_failure_before_any_micro_problem_has_nan_speedup():

@@ -85,13 +85,20 @@ def cases() -> list:
     for name, w in _workloads().items():
         out.append(Case(f"perfbench_{name}", ("plaquepar", *w.cli_args("scn.json", "out")),
                         dict(w.scenario)))
+
+    def run_case(label, scenario, mode, P, stopping):
+        return Case(f"run_{label}_{mode}{'' if P == 10 else f'_p{P}'}_{stopping}",
+                    ("plaquepar", "run", "--scenario", "scn.json", "--mode", mode,
+                     "--P", str(P), "--stopping", stopping, "--out", "out"), scenario)
     for label, scenario in (("ode30", ODE_30), ("pde6", PDE_6)):
         for mode in ("serial", "parareal", "reusage", "heuristic"):
             for stopping in ("fine", "coarse"):
-                out.append(Case(f"run_{label}_{mode}_{stopping}",
-                                ("plaquepar", "run", "--scenario", "scn.json", "--mode", mode,
-                                 "--P", "10", "--stopping", stopping, "--out", "out"),
-                                scenario))
+                out.append(run_case(label, scenario, mode, 10, stopping))
+    # P = 7 divides neither N_l (100 and 30): lanes of unequal length, also in
+    # re-usage mode, whose warm starts pass end micro states to the next lane
+    out += [run_case("ode30", ODE_30, "parareal", 7, "fine"),
+            run_case("ode30", ODE_30, "reusage", 7, "coarse"),
+            run_case("pde6", PDE_6, "reusage", 7, "fine")]
     out += [
         Case("sweep_ode30_parareal_coarse",
              ("plaquepar", "sweep", "--scenario", "scn.json", "--P", "1,2,5,10",
